@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint lint-baseline lint-selfcheck bench bench-pr3 bench-workers bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke soak ci clean
+.PHONY: all build vet test race fuzz-smoke lint lint-baseline lint-selfcheck bench bench-pr3 bench-workers bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke soak ci clean
 
 all: ci
 
@@ -23,6 +23,16 @@ test:
 # parallel forest training and the serving hot-swap path for real races.
 race:
 	$(GO) test -race ./...
+
+# Fuzz smoke: 15 s of native fuzzing of the CPD+ change-point kernel.
+# FuzzDetect decodes raw float64 bit patterns (NaN payloads, ±Inf, -0,
+# subnormals) and checks Detect and HasChange against the sort-per-split
+# reference kernel. Minimizing each newly interesting input is capped at
+# 5 s (the default 60 s would spend the whole budget shrinking inputs).
+# A failing input lands in internal/ml/cpd/testdata/fuzz/FuzzDetect;
+# commit it as a seed before fixing the bug it found.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDetect$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/ml/cpd
 
 # PR 7 benchmarks, paired old-vs-new: model-load latency through the
 # JSON snapshot path (parse, rebuild pointer trees, re-derive the flat
@@ -178,7 +188,7 @@ lint-baseline:
 lint-selfcheck:
 	$(GO) run ./cmd/scoutlint internal/lint
 
-ci: vet lint lint-selfcheck build race bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke
+ci: vet lint lint-selfcheck build race fuzz-smoke bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke
 
 clean:
 	$(GO) clean ./...

@@ -153,6 +153,14 @@ func checkHotCall(p *Pass, call *ast.CallExpr) {
 	if !ok {
 		return
 	}
+	// A generic callee's parameters are type parameters, whose underlying
+	// type is their constraint interface; judge the instantiated signature,
+	// where they are the concrete types the arguments actually take.
+	if tv, okInst := p.Info.Types[call.Fun]; okInst {
+		if inst, okSig := tv.Type.(*types.Signature); okSig {
+			sig = inst
+		}
+	}
 	params := sig.Params()
 	for i, arg := range call.Args {
 		var paramType types.Type

@@ -4,7 +4,11 @@
 // caller-supplied-buffer pattern and pointer-shaped arguments are not.
 package hotpath
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 type point struct{ x, y float64 }
 
@@ -49,6 +53,24 @@ func CollectInto(dst []float64, n int) []float64 {
 		dst = append(dst, float64(i))
 	}
 	return dst
+}
+
+// Generic is fine: type parameters instantiated with concrete types take
+// the arguments unboxed.
+//
+//scout:hotpath
+func Generic(xs []float64) int {
+	slices.SortFunc(xs, func(a, b float64) int { return cmp.Compare(a, b) })
+	return cmp.Compare(xs[0], xs[1])
+}
+
+func ident[T any](v T) T { return v }
+
+// GenericAny boxes: the type parameter is instantiated with an interface.
+//
+//scout:hotpath
+func GenericAny(p point) {
+	ident[any](p) // want "boxes .* into interface parameter"
 }
 
 // Cold carries no directive; formatting and boxing are unrestricted.

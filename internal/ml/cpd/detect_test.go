@@ -187,3 +187,51 @@ func TestDetectDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestDetectAllocsIndependentOfPermutations guards the scanner's
+// allocation profile: the permutation test reuses one scratch, so Detect
+// allocates the same at 9 permutations as at 99 (the sort-per-split kernel
+// allocated six slices per split per permutation).
+func TestDetectAllocsIndependentOfPermutations(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	s := step(20, 20, 0, 6, 0.5, rng)
+	p9 := Params{Permutations: 9, Alpha: 0.1, Seed: 1}
+	p99 := Params{Permutations: 99, Alpha: 0.1, Seed: 1}
+	// Equal answers keep the comparison fair: each change point appends.
+	if a, b := Detect(s, p9), Detect(s, p99); len(a) != 1 || len(b) != 1 || a[0] != b[0] {
+		t.Fatalf("want the same single change point at 9 and 99 permutations, got %v and %v", a, b)
+	}
+	a9 := testing.AllocsPerRun(20, func() { Detect(s, p9) })
+	a99 := testing.AllocsPerRun(20, func() { Detect(s, p99) })
+	if a9 != a99 {
+		t.Fatalf("Detect allocates %v times at 9 permutations, %v at 99", a9, a99)
+	}
+}
+
+func BenchmarkDetect(b *testing.B) {
+	rng := rand.New(rand.NewSource(14))
+	cases := []struct {
+		name   string
+		series []float64
+	}{
+		{"n40-stationary", step(40, 0, 0, 0, 1, rng)},
+		{"n40-step", step(20, 20, 0, 3, 1, rng)},
+		{"n200-step", step(100, 100, 0, 3, 1, rng)},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Detect(c.series, Params{Seed: 1})
+			}
+		})
+	}
+}
+
+func BenchmarkHasChange(b *testing.B) {
+	s := step(20, 20, 0, 3, 1, rand.New(rand.NewSource(15)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		HasChange(s, Params{Seed: 1})
+	}
+}
