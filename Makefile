@@ -24,29 +24,33 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Fuzz smoke: 15 s of native fuzzing of the CPD+ change-point kernel.
+# Fuzz smoke: 15 s of native fuzzing per target.
 # FuzzDetect decodes raw float64 bit patterns (NaN payloads, ±Inf, -0,
 # subnormals) and checks Detect and HasChange against the sort-per-split
-# reference kernel. Minimizing each newly interesting input is capped at
-# 5 s (the default 60 s would spend the whole budget shrinking inputs).
-# A failing input lands in internal/ml/cpd/testdata/fuzz/FuzzDetect;
-# commit it as a seed before fixing the bug it found.
+# reference kernel. FuzzForestFromBinary feeds arbitrary bytes to the
+# SFF1 forest decoder and checks that an accepted forest predicts and
+# explains without panicking, that its batch answers equal PredictProb's
+# bit for bit, and that it re-encodes to a fixed point. Minimizing each
+# newly interesting input is capped at 5 s (the default 60 s would spend
+# the whole budget shrinking inputs). A failing input lands in the
+# package's testdata/fuzz/<target> directory; commit it as a seed before
+# fixing the bug it found.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDetect$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/ml/cpd
+	$(GO) test -run '^$$' -fuzz '^FuzzForestFromBinary$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/ml/forest
 
-# PR 7 benchmarks, paired old-vs-new: model-load latency through the
-# JSON snapshot path (parse, rebuild pointer trees, re-derive the flat
-# arrays) vs the scoutpack binary path (verify checksum, adopt the
-# arrays), and batch inference throughput through the exact f64 8-lane
-# kernel vs the quantized cache-blocked kernels at 8 and 16 lanes on a
-# production-scale forest. Results land in BENCH_PR7.json (ns/op,
-# allocs/op, per-result pkg) via cmd/benchjson; divide the pairs
-# RestoreJSON/RestorePack and PredictFlatBig/PredictQuant8|16.
+# Model-load benchmarks, paired: the JSON snapshot path (parse, rebuild
+# pointer trees, re-derive the flat arrays) vs the scoutpack binary path
+# (verify checksum, adopt the arrays), warm in memory and cold through
+# the disk envelope. Results land in BENCH_LOAD.json (ns/op, allocs/op,
+# per-result pkg) via cmd/benchjson; divide the pairs
+# RestoreJSON/RestorePack and ColdLoadJSON/ColdLoadPack. The committed
+# BENCH_PR7.json is the historical record of the same pass plus the
+# since-deleted quantized-kernel comparison.
 bench:
-	( $(GO) test -bench 'RestoreJSON$$|RestorePack$$|ColdLoadJSON$$|ColdLoadPack$$' -benchtime 50x -run '^$$' . ; \
-	  $(GO) test -bench 'PredictFlatBig$$|PredictQuant8$$|PredictQuant16$$' -benchtime 20x -run '^$$' . ) \
-		| $(GO) run ./cmd/benchjson > BENCH_PR7.json
-	@cat BENCH_PR7.json
+	$(GO) test -bench 'RestoreJSON$$|RestorePack$$|ColdLoadJSON$$|ColdLoadPack$$' -benchtime 50x -run '^$$' . \
+		| $(GO) run ./cmd/benchjson > BENCH_LOAD.json
+	@cat BENCH_LOAD.json
 
 # The PR 3 kernel benchmarks (split finder, featurization, window
 # aggregates, flat vs pointer inference, serving predict paths), kept

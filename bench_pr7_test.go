@@ -1,22 +1,14 @@
-// PR 7 benchmarks: model-load latency (JSON snapshot restore vs the
-// scoutpack binary path, warm in-memory and cold through the disk
-// envelope) and batch inference throughput (the exact f64 8-lane kernel
-// vs the quantized cache-blocked kernels at 8 and 16 lanes). Pair
-// RestoreJSON/RestorePack, ColdLoadJSON/ColdLoadPack and
-// PredictFlatBig/PredictQuant8|16 — each pair runs the identical
-// workload, so ns/op divides directly.
+// Model-load benchmarks: JSON snapshot restore vs the scoutpack binary
+// path, warm in-memory and cold through the disk envelope. Pair
+// RestoreJSON/RestorePack and ColdLoadJSON/ColdLoadPack — each pair runs
+// the identical workload, so ns/op divides directly.
 package scouts_test
 
 import (
-	"fmt"
-	"math/rand"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"scouts/internal/core"
-	"scouts/internal/ml/forest"
-	"scouts/internal/ml/mlcore"
 	"scouts/internal/serving"
 )
 
@@ -107,81 +99,3 @@ func benchColdLoad(b *testing.B, pack bool) {
 // pair of BenchmarkRestoreJSON/BenchmarkRestorePack.
 func BenchmarkColdLoadJSON(b *testing.B) { benchColdLoad(b, false) }
 func BenchmarkColdLoadPack(b *testing.B) { benchColdLoad(b, true) }
-
-// The kernel comparison runs on a production-scale forest, not the lab
-// scout: the lab ensemble fits in L2, where layout and blocking cannot
-// matter by construction. A few hundred deep trees over continuous
-// features put the node arrays well past cache — the regime the
-// quantized blocked kernel exists for, where the exact kernel re-streams
-// the whole forest once per 8-vector group while the blocked kernel
-// fetches each ≤16k-node block once and reuses it across the batch.
-var (
-	bigForestOnce sync.Once
-	bigForestF    *forest.Forest
-	bigForestX    [][]float64
-	bigForestErr  error
-)
-
-func bigForest(b *testing.B) (*forest.Forest, [][]float64) {
-	b.Helper()
-	bigForestOnce.Do(func() {
-		const dim, samples, probes = 64, 12000, 1024
-		rng := rand.New(rand.NewSource(11))
-		names := make([]string, dim)
-		for j := range names {
-			names[j] = fmt.Sprintf("f%02d", j)
-		}
-		d := mlcore.NewDataset(names)
-		vec := func() []float64 {
-			x := make([]float64, dim)
-			for j := range x {
-				x[j] = rng.NormFloat64()
-			}
-			return x
-		}
-		for i := 0; i < samples; i++ {
-			x := vec()
-			d.MustAdd(mlcore.Sample{X: x, Y: x[0]+x[1]*x[2] > x[3]*0.5})
-		}
-		bigForestF, bigForestErr = forest.Train(d, forest.Params{
-			NumTrees: 300, MaxDepth: 16, Seed: 11, Workers: 8,
-		})
-		bigForestX = make([][]float64, probes)
-		for i := range bigForestX {
-			bigForestX[i] = vec()
-		}
-	})
-	if bigForestErr != nil {
-		b.Fatal(bigForestErr)
-	}
-	return bigForestF, bigForestX
-}
-
-// benchBigKernel scores the probe matrix through one kernel, restoring
-// the exact kernel afterwards so no benchmark inherits a lossy default.
-func benchBigKernel(b *testing.B, k forest.BatchKernel) {
-	f, xs := bigForest(b)
-	f.SetBatchKernel(k)
-	defer f.SetBatchKernel(forest.KernelExact)
-	out := make([]float64, len(xs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.PredictProbBatch(xs, out)
-	}
-}
-
-// BenchmarkPredictFlatBig is the PR 3 exact kernel on the
-// production-scale forest — the baseline the quantized kernels divide
-// against.
-func BenchmarkPredictFlatBig(b *testing.B) { benchBigKernel(b, forest.KernelExact) }
-
-// BenchmarkPredictQuant8 is the float32 cache-blocked kernel at the
-// PR 3 lane width; pair with BenchmarkPredictFlatBig for the
-// quantization-plus-blocking win at equal lane count.
-func BenchmarkPredictQuant8(b *testing.B) { benchBigKernel(b, forest.KernelQuant8) }
-
-// BenchmarkPredictQuant16 doubles the lane count over the same blocked
-// layout; compare against BenchmarkPredictQuant8 to pick the serving
-// default.
-func BenchmarkPredictQuant16(b *testing.B) { benchBigKernel(b, forest.KernelQuant16) }

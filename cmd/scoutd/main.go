@@ -5,7 +5,7 @@
 //
 //	scoutd [-addr :8080] [-seed 7] [-days 90] [-rate 10] [-workers 0]
 //	       [-max-inflight 64] [-request-timeout 10s] [-min-coverage 0.25]
-//	       [-instance scoutd] [-access-log] [-store DIR] [-quantized]
+//	       [-instance scoutd] [-access-log] [-store DIR]
 //
 // -store points at a SaveStore directory. When it already holds model
 // versions, scoutd serves the newest one instead of training at boot —
@@ -14,9 +14,9 @@
 // published by another process (an offline trainer, `scoutctl pack`)
 // are picked up live. When the directory is empty, scoutd trains once,
 // publishes the model into it as a scoutpack, and serves the scout it
-// just trained directly (no snapshot round trip). -quantized serves
-// batch predictions through the float32 cache-blocked kernel
-// (DESIGN.md §12 has the |Δp| <= 1e-6 tolerance contract).
+// just trained directly (no snapshot round trip). Batch predictions
+// run the one exact forest kernel, so every answer is bit-identical to
+// the single-incident path (DESIGN.md §12).
 //
 // Endpoints:
 //
@@ -65,7 +65,6 @@ import (
 	"scouts/internal/cloudsim"
 	"scouts/internal/core"
 	"scouts/internal/faults"
-	"scouts/internal/ml/forest"
 	"scouts/internal/serving"
 	"scouts/internal/telemetry"
 )
@@ -83,7 +82,6 @@ func main() {
 	instance := flag.String("instance", "scoutd", "instance ID prefixed to request IDs (X-Request-Id)")
 	accessLog := flag.Bool("access-log", false, "write one structured JSON line per request to stderr")
 	storeDir := flag.String("store", "", "model store directory: serve from it when populated, publish into it after training")
-	quantized := flag.Bool("quantized", false, "serve batch predictions through the quantized (float32, cache-blocked) kernel")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "scoutd: ", log.LstdFlags)
@@ -91,7 +89,7 @@ func main() {
 		maxInflight: *maxInflight, requestTimeout: *reqTimeout, minCoverage: *minCoverage,
 		retryAfterBase: *retryAfterBase,
 		instance:       *instance, accessLog: *accessLog,
-		storeDir: *storeDir, quantized: *quantized,
+		storeDir: *storeDir,
 	}
 	if err := run(*addr, *seed, *days, *rate, *workers, opts, logger); err != nil {
 		logger.Fatal(err)
@@ -107,7 +105,6 @@ type servingOptions struct {
 	instance       string
 	accessLog      bool
 	storeDir       string
-	quantized      bool
 }
 
 func run(addr string, seed int64, days int, rate float64, workers int, opts servingOptions, logger *log.Logger) error {
@@ -174,9 +171,6 @@ func run(addr string, seed int64, days int, rate float64, workers int, opts serv
 	srv.RetryAfterBase = opts.retryAfterBase
 	srv.Degradation = core.DegradationPolicy{MinCoverage: opts.minCoverage}
 	srv.InstanceID = opts.instance
-	if opts.quantized {
-		srv.Kernel = forest.KernelQuant8
-	}
 	if opts.storeDir != "" {
 		dir := opts.storeDir
 		srv.ReloadStore = func() (*serving.Store, error) {

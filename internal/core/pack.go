@@ -352,21 +352,3 @@ func VerifyScoutpack(data []byte) error {
 	_, err := parseScoutpack(data)
 	return err
 }
-
-// SetBatchKernel selects the batch-inference kernel on every forest the
-// Scout carries (routing, CPD+, selector). The zero value is the exact
-// kernel; serving flips to a quantized kernel at load time when
-// configured (DESIGN.md §12 has the tolerance contract).
-func (s *Scout) SetBatchKernel(k forest.BatchKernel) {
-	if s.rf != nil {
-		s.rf.SetBatchKernel(k)
-	}
-	if s.cpdPlus != nil {
-		if _, rf := s.cpdPlus.Parts(); rf != nil {
-			rf.SetBatchKernel(k)
-		}
-	}
-	if sel, ok := s.selector.(*Selector); ok && sel.rf != nil {
-		sel.rf.SetBatchKernel(k)
-	}
-}

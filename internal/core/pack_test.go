@@ -5,8 +5,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-
-	"scouts/internal/ml/forest"
 )
 
 // TestScoutpackRoundTrip is the container-level round-trip gate: a Scout
@@ -152,40 +150,4 @@ func TestInspectPack(t *testing.T) {
 	if info.Features != len(f.scout.rf.Features()) || info.TrainMeans != len(f.scout.trainMeans) {
 		t.Fatalf("inspect layout wrong: %+v", info)
 	}
-}
-
-// TestScoutSetBatchKernel pins kernel propagation and the quantization
-// tolerance at the Scout level: quantized batch predictions agree with
-// the exact kernel within 1e-6 on every held-out incident.
-func TestScoutSetBatchKernel(t *testing.T) {
-	f := getFixture(t)
-	pack, err := f.scout.SnapshotPack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Restore(pack, f.gen.Topology(), f.gen.Telemetry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := make([]BatchRequest, 0, 60)
-	for _, in := range f.test[:60] {
-		reqs = append(reqs, BatchRequest{Title: in.Title, Body: in.Body, Components: in.InitialComponents, Time: in.CreatedAt})
-	}
-	exact := s.PredictBatch(reqs)
-	for _, k := range []forest.BatchKernel{forest.KernelQuant8, forest.KernelQuant16} {
-		s.SetBatchKernel(k)
-		if got := s.rf.CurrentBatchKernel(); got != k {
-			t.Fatalf("kernel did not propagate to routing forest: %v", got)
-		}
-		quant := s.PredictBatch(reqs)
-		for i := range reqs {
-			if exact[i].Verdict != quant[i].Verdict {
-				t.Fatalf("%v: request %d verdict flipped: %v vs %v", k, i, quant[i].Verdict, exact[i].Verdict)
-			}
-			if d := math.Abs(exact[i].Confidence - quant[i].Confidence); d > 1e-6 {
-				t.Fatalf("%v: request %d confidence drifted by %g", k, i, d)
-			}
-		}
-	}
-	s.SetBatchKernel(forest.KernelExact)
 }

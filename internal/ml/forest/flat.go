@@ -42,14 +42,6 @@ type flatForest struct {
 	depth []int32 // per-tree max depth: the fixed step count of the batch kernel
 	prior float64 // mean root probability: the training prior, the
 	// forest's answer when it cannot trust the input vector
-
-	// quant is the quantized mirror of the traversal arrays (see qnode):
-	// float32 thresholds packed with the feature and child indices into one
-	// 12-byte record, plus the tree blocking the cache-blocked kernels walk.
-	// Derived by quantize() after the f64 arrays exist; prob stays float64,
-	// so only the comparison — never the answer's accumulation — is
-	// quantized.
-	quant quantForest
 }
 
 // flatDerivations counts newFlatForest calls. It exists for the
@@ -117,7 +109,6 @@ func newFlatForest(trees []*tree) *flatForest {
 		}
 		ff.prior = s / float64(len(trees))
 	}
-	ff.quantize()
 	return ff
 }
 

@@ -114,6 +114,24 @@ func TestPredictProbBatch(t *testing.T) {
 	}
 }
 
+// TestPredictProbBatchAllocs pins the zero-allocation guarantee of the
+// serving hot path: with a caller-supplied out buffer, PredictProbBatch
+// allocates nothing — across the 8-lane body, the scalar tail and the
+// NaN fallback.
+func TestPredictProbBatchAllocs(t *testing.T) {
+	d := xorDataset(400, 0.1, rand.New(rand.NewSource(57)))
+	f, err := Train(d, Params{NumTrees: 40, MaxDepth: 10, Seed: 58})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := probeVectors(67, 59)
+	xs[13][1] = math.NaN()
+	out := make([]float64, len(xs))
+	if allocs := testing.AllocsPerRun(20, func() { f.PredictProbBatch(xs, out) }); allocs != 0 {
+		t.Fatalf("%v allocs per batch, want 0", allocs)
+	}
+}
+
 // TestDimensionMismatchGuard covers the defensive path: short (or long)
 // vectors answer the training prior with a logged error — no panic — in
 // PredictProb, Explain and the batch fallback.

@@ -78,51 +78,7 @@ type Forest struct {
 	// no derivation at all, from a binary pack (pack.go), in which case
 	// trees stays nil and the forest is inference-only.
 	flat *flatForest
-	// kernel selects the batch traversal PredictProbBatch dispatches to.
-	// The zero value is KernelExact (bit-identical to PredictProb); set it
-	// once at load time, before serving — it is not synchronized.
-	kernel BatchKernel
 }
-
-// BatchKernel names a batch-traversal implementation.
-type BatchKernel uint8
-
-const (
-	// KernelExact is the float64 8-lane lock-step kernel: every batch
-	// probability is bit-identical to the corresponding PredictProb call.
-	KernelExact BatchKernel = iota
-	// KernelQuant8 is the quantized 8-lane kernel: float32 thresholds in
-	// packed 12-byte records, trees walked in cache-sized blocks. Answers
-	// are within the quantization tolerance contract (quant.go), not
-	// bit-identical.
-	KernelQuant8
-	// KernelQuant16 is the 16-lane variant of KernelQuant8.
-	KernelQuant16
-)
-
-func (k BatchKernel) String() string {
-	switch k {
-	case KernelQuant8:
-		return "quant8"
-	case KernelQuant16:
-		return "quant16"
-	default:
-		return "exact"
-	}
-}
-
-// SetBatchKernel selects the kernel PredictProbBatch uses. Call it at
-// load time, before the forest serves traffic: the field is read without
-// synchronization on the hot path. Unknown values select KernelExact.
-func (f *Forest) SetBatchKernel(k BatchKernel) {
-	if k > KernelQuant16 {
-		k = KernelExact
-	}
-	f.kernel = k
-}
-
-// CurrentBatchKernel reports the kernel PredictProbBatch dispatches to.
-func (f *Forest) CurrentBatchKernel() BatchKernel { return f.kernel }
 
 // treeCount is the ensemble size for both representations: pointer-tree
 // forests (training, JSON snapshots) count trees; pack-loaded forests
@@ -284,14 +240,7 @@ func (f *Forest) PredictProbBatch(xs [][]float64, out []float64) []float64 {
 			return out
 		}
 	}
-	switch f.kernel {
-	case KernelQuant8:
-		f.flat.predictBatchQ8(xs, out)
-	case KernelQuant16:
-		f.flat.predictBatchQ16(xs, out)
-	default:
-		f.flat.predictBatch(xs, out)
-	}
+	f.flat.predictBatch(xs, out)
 	return out
 }
 

@@ -33,7 +33,7 @@ func snapshotWith(t *testing.T, d *mlcore.Dataset, p Params) []byte {
 func TestPresortedKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	d := xorDataset(500, 0.05, rng)
-	// A constant column and an integer-quantized column maximize ties.
+	// A constant column and an integer-valued column maximize ties.
 	d.Features = append(d.Features, "const", "quant")
 	for i := range d.Samples {
 		d.Samples[i].X = append(d.Samples[i].X, 1.0, float64(rng.Intn(4)))

@@ -42,9 +42,10 @@ import (
 // Everything a reader consumes is bounds-checked against the buffer
 // before slicing, and the structural invariants the kernels rely on —
 // strictly increasing roots, children after parents (termination),
-// feature indices inside the layout — are validated on load, so a
-// corrupt or adversarial blob errors out instead of panicking (or
-// looping) in a traversal. Whole-blob integrity (sha256) is the
+// feature indices inside the layout, self-looping +Inf leaves, exact
+// per-tree depths — are validated on load, so a corrupt or adversarial
+// blob errors out instead of panicking (or looping, or answering
+// differently in the batch kernel) in a traversal. Whole-blob integrity (sha256) is the
 // enclosing envelope's job: core's scoutpack container and the
 // diskstore both checksum their payloads.
 
@@ -135,7 +136,9 @@ func ForestFromBinary(data []byte) (*Forest, error) {
 	}
 	dim := int(binary.LittleEndian.Uint32(feat))
 	feat = feat[4:]
-	features := make([]string, 0, dim)
+	// Every name costs at least its 4-byte length, which bounds the
+	// capacity a forged count can demand.
+	features := make([]string, 0, min(dim, len(feat)/4))
 	for i := 0; i < dim; i++ {
 		if len(feat) < 4 {
 			return nil, errors.New("forest: FEAT name count overruns section")
@@ -193,7 +196,6 @@ func ForestFromBinary(data []byte) (*Forest, error) {
 	if err := validateFlat(ff, dim); err != nil {
 		return nil, err
 	}
-	ff.quantize()
 	return &Forest{features: features, imp: imp, params: params, flat: ff}, nil
 }
 
@@ -269,7 +271,16 @@ func readI32s(b []byte, tag string) ([]int32, error) {
 //     pair strictly after itself and inside the tree — "children after
 //     parents" is what guarantees every walk terminates;
 //   - split features index into the feature layout;
-//   - per-tree depth is sane, and the stored prior matches the arrays.
+//   - every leaf carries exactly what newFlatForest writes, feature 0 and
+//     threshold +Inf, because the batch kernel keeps stepping lanes that
+//     reached a leaf and relies on both to stay put;
+//   - per-tree depth equals the tree's longest root-to-leaf path, the
+//     batch kernel's step count: a shorter one stops lanes above their
+//     leaves;
+//   - the stored prior matches the arrays.
+//
+// NaN thresholds on split nodes stay legal: the format round-trips any
+// float64, and only the batch kernel's routing of them differs.
 func validateFlat(ff *flatForest, dim int) error {
 	n := len(ff.feature)
 	if len(ff.threshold) != n || len(ff.kids) != n || len(ff.prob) != n {
@@ -281,6 +292,13 @@ func validateFlat(ff *flatForest, dim int) error {
 	}
 	if len(ff.depth) != trees {
 		return errors.New("forest: ROOT and DPTH disagree on tree count")
+	}
+	// level[i] is the longest path from its tree's root to node i, or -1
+	// while no parent has reached it. Children follow their parents, so
+	// one forward pass settles every node before it is read.
+	level := make([]int32, n)
+	for i := range level {
+		level[i] = -1
 	}
 	for t := 0; t < trees; t++ {
 		lo := int(ff.roots[t])
@@ -294,13 +312,16 @@ func validateFlat(ff *flatForest, dim int) error {
 		if lo >= hi || hi > n {
 			return fmt.Errorf("forest: tree %d spans [%d,%d) of %d nodes", t, lo, hi, n)
 		}
-		if d := ff.depth[t]; d < 0 || int(d) > hi-lo {
-			return fmt.Errorf("forest: tree %d depth %d out of range for %d nodes", t, d, hi-lo)
-		}
+		level[lo] = 0
+		depth := int32(0)
 		for i := lo; i < hi; i++ {
 			k := int(ff.kids[i])
 			if k == i {
-				continue // leaf self-loop
+				if ff.feature[i] != 0 || !math.IsInf(ff.threshold[i], 1) {
+					return fmt.Errorf("forest: leaf %d carries feature %d, threshold %v; want 0, +Inf", i, ff.feature[i], ff.threshold[i])
+				}
+				depth = max(depth, level[i])
+				continue
 			}
 			// Children must follow their parent (termination) and the
 			// adjacent pair must sit inside the tree's span.
@@ -310,6 +331,13 @@ func validateFlat(ff *flatForest, dim int) error {
 			if f := int(ff.feature[i]); f < 0 || f >= dim {
 				return fmt.Errorf("forest: node %d splits on feature %d of %d", i, f, dim)
 			}
+			if l := level[i]; l >= 0 {
+				level[k] = max(level[k], l+1)
+				level[k+1] = max(level[k+1], l+1)
+			}
+		}
+		if ff.depth[t] != depth {
+			return fmt.Errorf("forest: tree %d stores depth %d, its longest path is %d", t, ff.depth[t], depth)
 		}
 	}
 	var s float64

@@ -142,7 +142,8 @@ func TestPackRejectsTruncation(t *testing.T) {
 }
 
 // TestPackRejectsStructuralCorruption patches child indices, feature
-// indices and the stored prior and checks the loader's validation wall:
+// indices, leaf records, tree depths and the stored prior and checks the
+// loader's validation wall:
 // each corruption errors instead of arming an out-of-bounds (or
 // non-terminating) traversal.
 func TestPackRejectsStructuralCorruption(t *testing.T) {
@@ -200,6 +201,35 @@ func TestPackRejectsStructuralCorruption(t *testing.T) {
 		pr := sectionPayload(b, "PRIR")
 		binary.LittleEndian.PutUint64(pr, math.Float64bits(0.123456789))
 		return pr != nil
+	})
+	// The batch kernel keeps stepping lanes that reached a leaf for the
+	// tree's stored depth: an out-of-layout leaf feature panics it, and a
+	// finite leaf threshold or a short depth ends lanes on a different
+	// leaf than PredictProb reaches.
+	leaf := -1
+	for i, k := range f.flat.kids {
+		if k == int32(i) {
+			leaf = i
+			break
+		}
+	}
+	if leaf < 0 {
+		t.Fatal("trained forest has no leaf")
+	}
+	corrupt("leaf feature out of layout", func(b []byte) bool {
+		ft := sectionPayload(b, "NDFT")
+		binary.LittleEndian.PutUint32(ft[4*leaf:], uint32(len(f.Features())+4))
+		return ft != nil
+	})
+	corrupt("leaf threshold finite", func(b []byte) bool {
+		th := sectionPayload(b, "NDTH")
+		binary.LittleEndian.PutUint64(th[8*leaf:], math.Float64bits(-1))
+		return th != nil
+	})
+	corrupt("depth short of longest path", func(b []byte) bool {
+		dp := sectionPayload(b, "DPTH")
+		binary.LittleEndian.PutUint32(dp, uint32(f.flat.depth[0]-1))
+		return dp != nil && f.flat.depth[0] > 0
 	})
 	corrupt("section length overrun", func(b []byte) bool {
 		// First section header's length field claims more than the buffer.

@@ -20,7 +20,6 @@ import (
 
 	"scouts/internal/core"
 	"scouts/internal/incident"
-	"scouts/internal/ml/forest"
 	"scouts/internal/monitoring"
 	"scouts/internal/telemetry"
 	"scouts/internal/topology"
@@ -300,12 +299,6 @@ type Server struct {
 	// quiet period hints only the base.
 	RetryAfterBase time.Duration
 
-	// Kernel selects the batch-inference kernel installed on every Scout
-	// the server loads. The zero value is the exact (bit-reproducible)
-	// kernel; scoutd's -quantized flag selects the quantized one
-	// (DESIGN.md §12 has the tolerance contract).
-	Kernel forest.BatchKernel
-
 	// ReloadStore, when set, is consulted at the start of every Reload:
 	// it re-reads the backing storage (scoutd points it at its -store
 	// directory) and returns a fresh Store, so POST /v1/reload picks up
@@ -416,12 +409,11 @@ func (s *Server) Install(scout *core.Scout, version int) {
 }
 
 // install applies the server-owned policies and swaps the model in.
-// Restore/Train build fresh Scouts, so the degradation policy, observer
-// and kernel choice must be re-applied on every load.
+// Restore/Train build fresh Scouts, so the degradation policy and observer
+// must be re-applied on every load.
 func (s *Server) install(scout *core.Scout, version int) {
 	scout.SetDegradationPolicy(s.Degradation)
 	scout.SetObserver(s)
-	scout.SetBatchKernel(s.Kernel)
 	s.current.Store(&servingModel{scout: scout, version: version})
 	s.tel.modelVersion.Set(int64(version))
 	s.tel.reloads.Inc()
