@@ -14,9 +14,7 @@
 // published by another process (an offline trainer, `scoutctl pack`)
 // are picked up live. When the directory is empty, scoutd trains once,
 // publishes the model into it as a scoutpack, and serves the scout it
-// just trained directly (no snapshot round trip). Batch predictions
-// run the one exact forest kernel, so every answer is bit-identical to
-// the single-incident path (DESIGN.md §12).
+// just trained directly (no snapshot round trip).
 //
 // Endpoints:
 //

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"scouts/internal/core"
@@ -29,14 +30,15 @@ func (f fixedPredictor) PredictIncident(in *incident.Incident) core.Prediction {
 }
 
 // batchedPredictor wraps fixedPredictor with the BatchPredictor interface,
-// standing in for a trained Scout's chunked path.
+// standing in for a trained Scout's chunked path. RunWorkers calls it from
+// several goroutines at once, so the call count is atomic.
 type batchedPredictor struct {
 	fixedPredictor
-	calls int
+	calls atomic.Int64
 }
 
 func (b *batchedPredictor) PredictIncidentBatch(ins []*incident.Incident) []core.Prediction {
-	b.calls++
+	b.calls.Add(1)
 	out := make([]core.Prediction, len(ins))
 	for i, in := range ins {
 		out[i] = b.PredictIncident(in)
@@ -235,8 +237,8 @@ func TestRunWorkersBatchPathEquivalent(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d batched result differs:\n%+v\nvs\n%+v", w, got, want)
 		}
-		if wantCalls := (len(ins) + evalBatchSize - 1) / evalBatchSize; bp.calls != wantCalls {
-			t.Fatalf("workers=%d made %d batch calls, want %d", w, bp.calls, wantCalls)
+		if wantCalls := int64(len(ins)+evalBatchSize-1) / evalBatchSize; bp.calls.Load() != wantCalls {
+			t.Fatalf("workers=%d made %d batch calls, want %d", w, bp.calls.Load(), wantCalls)
 		}
 	}
 }

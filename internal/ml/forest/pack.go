@@ -45,9 +45,9 @@ import (
 // feature indices inside the layout, self-looping +Inf leaves, exact
 // per-tree depths — are validated on load, so a corrupt or adversarial
 // blob errors out instead of panicking (or looping, or answering
-// differently in the batch kernel) in a traversal. Whole-blob integrity (sha256) is the
-// enclosing envelope's job: core's scoutpack container and the
-// diskstore both checksum their payloads.
+// differently in the batch kernel) in a traversal. Whole-blob integrity
+// (sha256) is the enclosing envelope's job: core's scoutpack container
+// and the diskstore both checksum their payloads.
 
 const packMagic = "SFF1"
 
