@@ -82,10 +82,14 @@ loadgen-smoke:
 # loadgen chaos rotation (malformed JSON, oversized bodies, mid-body
 # disconnects) must draw zero 5xx, and the serving chaos tests (50%
 # monitoring blackout, shedding, deadlines, panic recovery, deterministic
-# degraded answers) must hold with the detector watching.
+# degraded answers) must hold with the detector watching. The breaker
+# state machine runs its transition table through both wrappers
+# (faults.Breaker, faults.ReqBreaker), and a healthy world featurized
+# through a hair-trigger per-dataset breaker must trip nothing.
 chaos-smoke:
 	$(GO) test -race -run 'TestLoadgenChaos' -count 1 ./cmd/loadgen
 	$(GO) test -race -run 'TestChaos|TestShedding|TestPanicRecovery|TestRequestDeadline|TestDegradationOverHTTP' -count 1 ./internal/serving
+	$(GO) test -race -run 'TestMachine|TestFeaturizeThroughBreaker' -count 1 ./internal/faults ./internal/core
 
 # Soak smoke: a ~2s sustained run against an in-process server with
 # sub-second /metrics scrapes — proves the soak loop, the Prometheus

@@ -86,6 +86,44 @@ func TestDriveShedsWhenDeadlineBeatsHint(t *testing.T) {
 	}
 }
 
+// TestDriveCountsEachFailureOnce: a non-200 answer is an HTTP answer,
+// not a transport error. It lands in StatusCounts (and Requests) only,
+// so the soak error rate counts each failure once and the fleet verdict
+// counts 5xx once and 4xx not at all.
+func TestDriveCountsEachFailureOnce(t *testing.T) {
+	codes := []int{http.StatusOK, http.StatusBadRequest, http.StatusServiceUnavailable}
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(codes[(calls.Add(1)-1)%int64(len(codes))])
+	}))
+	defer ts.Close()
+
+	rep := drive(ts.Client(), ts.URL, "/v1/predict", [][]byte{[]byte(`{}`)}, 1, 2, 300*time.Millisecond)
+	ok, bad, unavailable := rep.StatusCounts["200"], rep.StatusCounts["400"], rep.StatusCounts["503"]
+	if ok == 0 || bad == 0 || unavailable == 0 {
+		t.Fatalf("stub mix not exercised: %+v", rep.StatusCounts)
+	}
+	if rep.Errors != 0 {
+		t.Fatalf("Errors = %d, want 0: every request drew an HTTP answer", rep.Errors)
+	}
+	if rep.Requests != ok+bad+unavailable || int64(rep.Requests) != calls.Load() {
+		t.Fatalf("Requests = %d, want %d answers (stub saw %d)", rep.Requests, ok+bad+unavailable, calls.Load())
+	}
+	if rep.Predictions != ok {
+		t.Fatalf("Predictions = %d, want the %d 200s", rep.Predictions, ok)
+	}
+
+	sr := SoakReport{Report: rep}
+	wantRate := float64(bad+unavailable) / float64(ok+bad+unavailable)
+	if got := judge(SLO{P99Ms: 60_000, MaxErrorRate: 1}, &sr).ErrorRate; got != wantRate {
+		t.Fatalf("soak error rate = %v, want %v", got, wantRate)
+	}
+	fr := FleetReport{Report: rep}
+	if got := judgeFleet(&fr).FailedNonShed; got != unavailable {
+		t.Fatalf("fleet failed_non_shed = %d, want the %d 503s", got, unavailable)
+	}
+}
+
 func TestJudgeFleet(t *testing.T) {
 	clean := FleetReport{Report: Report{Requests: 10, StatusCounts: map[string]int{"200": 10}}}
 	if v := judgeFleet(&clean); !v.Pass || v.FailedNonShed != 0 {

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -46,14 +47,25 @@ type Report struct {
 	BatchSize   int     `json:"batch_size,omitempty"`
 	Concurrency int     `json:"concurrency"`
 	DurationSec float64 `json:"duration_sec"`
-	Requests    int     `json:"requests"`
-	Predictions int     `json:"predictions"`
-	Errors      int     `json:"errors"`
-	QPS         float64 `json:"qps"`
-	PredPerSec  float64 `json:"predictions_per_sec"`
-	P50Ms       float64 `json:"p50_ms"`
-	P95Ms       float64 `json:"p95_ms"`
-	P99Ms       float64 `json:"p99_ms"`
+	// Requests counts the HTTP answers well-formed traffic drew, in every
+	// mode: one per attempt, so a 429 that was slept out and re-issued
+	// counts once for the 429 and once for its retry's answer. It is
+	// always the sum of StatusCounts, and QPS is Requests per second.
+	// Transport failures, chaos traffic and deliberate disconnects are
+	// not answers and are bookkept apart.
+	Requests int `json:"requests"`
+	// Predictions counts the incidents scored by 200 answers (batch
+	// size per answer); each 200 is one latency sample.
+	Predictions int `json:"predictions"`
+	// Errors counts transport failures only: requests that drew no HTTP
+	// answer at all. Non-200 answers are in StatusCounts, so every
+	// failure is counted exactly once.
+	Errors     int     `json:"errors"`
+	QPS        float64 `json:"qps"`
+	PredPerSec float64 `json:"predictions_per_sec"`
+	P50Ms      float64 `json:"p50_ms"`
+	P95Ms      float64 `json:"p95_ms"`
+	P99Ms      float64 `json:"p99_ms"`
 	// StatusCounts breaks responses down by HTTP status ("200", "400",
 	// "429", ...) — the evidence a chaos run leans on to show the server
 	// answered abuse with 4xx instead of 5xx or a crash.
@@ -73,8 +85,7 @@ type Report struct {
 	// Retries counts re-issued attempts after a 429: loadgen honors the
 	// server's Retry-After hint (sleeps it out, then retries the same
 	// payload) instead of hammering a saturated server with fresh
-	// traffic. Kept apart from Requests so QPS still describes completed
-	// requests.
+	// traffic.
 	Retries int `json:"retries,omitempty"`
 	// Shed counts requests whose final answer was 429 because the run's
 	// deadline left no room to honor the hint — back-pressured by design,
@@ -222,19 +233,41 @@ func retryHint(h http.Header) time.Duration {
 	return min(time.Duration(secs)*time.Second, 5*time.Second)
 }
 
-// drive is the shared measurement loop behind runLoad and the fleet
-// mode: conc workers rotate through the payloads until the deadline. A
-// 429 is honored, not hammered — the worker sleeps the server's
-// Retry-After hint and re-issues the same payload, bookkeeping the
-// retry; only when the deadline leaves no room for the hint does the
-// request count as shed.
+// drive is the measurement loop behind runLoad, the soak and the fleet
+// mode: conc workers rotate through the payloads, all posted to path,
+// until the deadline.
 func drive(client *http.Client, baseURL, path string, payloads [][]byte, perReq, conc int, duration time.Duration) Report {
+	return driveShots(client, baseURL+path, perReq, conc, duration, func(k int) shot {
+		return shot{body: payloads[k%len(payloads)]}
+	})
+}
+
+// shot is one request of a rotation.
+type shot struct {
+	body []byte
+	// chaos marks adversarial traffic: its answers land in
+	// ChaosStatusCounts and are never retried or sampled for latency.
+	chaos bool
+	// tear sends body and then fails the upload mid-transfer; the
+	// client-side abort counts as a Disconnect.
+	tear bool
+}
+
+// driveShots is the one worker loop every mode shares: conc workers post
+// next(k) for k = w, w+1, ... until the deadline and the report is
+// aggregated once. A 429 to well-formed traffic is honored, not
+// hammered — the worker sleeps the server's Retry-After hint and
+// re-issues the same payload, bookkeeping the retry; only when the
+// deadline leaves no room for the hint does the request count as shed.
+func driveShots(client *http.Client, url string, perReq, conc int, duration time.Duration, next func(k int) shot) Report {
 	type worker struct {
-		latencies []float64 // milliseconds
-		errors    int
-		retries   int
-		shed      int
-		statuses  map[int]int
+		latencies     []float64 // milliseconds
+		errors        int
+		retries       int
+		shed          int
+		disconnects   int
+		statuses      map[int]int
+		chaosStatuses map[int]int
 	}
 	workers := make([]worker, conc)
 	deadline := time.Now().Add(duration)
@@ -244,19 +277,32 @@ func drive(client *http.Client, baseURL, path string, payloads [][]byte, perReq,
 			defer func() { done <- w }()
 			wk := &workers[w]
 			wk.statuses = map[int]int{}
+			wk.chaosStatuses = map[int]int{}
 			for k := w; time.Now().Before(deadline); k++ {
-				body := payloads[k%len(payloads)]
+				s := next(k)
 				for {
 					start := time.Now()
-					resp, err := client.Post(baseURL+path, "application/json", bytes.NewReader(body))
+					var body io.Reader = bytes.NewReader(s.body)
+					if s.tear {
+						body = &abortReader{data: s.body}
+					}
+					resp, err := client.Post(url, "application/json", body)
 					if err != nil {
-						wk.errors++
+						if s.tear {
+							wk.disconnects++
+						} else {
+							wk.errors++
+						}
 						break
 					}
 					_, _ = bytes.NewBuffer(nil).ReadFrom(resp.Body)
 					status := resp.StatusCode
 					hint := retryHint(resp.Header)
 					resp.Body.Close()
+					if s.chaos {
+						wk.chaosStatuses[status]++
+						break
+					}
 					wk.statuses[status]++
 					if status == http.StatusTooManyRequests {
 						if time.Now().Add(hint).After(deadline) {
@@ -267,11 +313,9 @@ func drive(client *http.Client, baseURL, path string, payloads [][]byte, perReq,
 						wk.retries++
 						continue
 					}
-					if status != http.StatusOK {
-						wk.errors++
-						break
+					if status == http.StatusOK {
+						wk.latencies = append(wk.latencies, float64(time.Since(start).Microseconds())/1000)
 					}
-					wk.latencies = append(wk.latencies, float64(time.Since(start).Microseconds())/1000)
 					break
 				}
 			}
@@ -288,16 +332,24 @@ func drive(client *http.Client, baseURL, path string, payloads [][]byte, perReq,
 		rep.Errors += workers[i].errors
 		rep.Retries += workers[i].retries
 		rep.Shed += workers[i].shed
+		rep.Disconnects += workers[i].disconnects
 		mergeStatuses(&rep.StatusCounts, workers[i].statuses)
+		mergeStatuses(&rep.ChaosStatusCounts, workers[i].chaosStatuses)
 	}
-	rep.Requests = len(all)
+	for _, n := range rep.StatusCounts {
+		rep.Requests += n
+	}
+	for _, n := range rep.ChaosStatusCounts {
+		rep.ChaosRequests += n
+	}
+	rep.ChaosRequests += rep.Disconnects
 	rep.Predictions = len(all) * perReq
 	if duration > 0 {
 		rep.QPS = float64(rep.Requests) / duration.Seconds()
 		rep.PredPerSec = float64(rep.Predictions) / duration.Seconds()
 	}
-	// Quantile of an empty sample is NaN, which JSON cannot encode; an
-	// all-errors run reports zeros and a nonzero error count instead.
+	// Quantile of an empty sample is NaN, which JSON cannot encode; a run
+	// without a single 200 reports zero percentiles instead.
 	if len(all) > 0 {
 		sort.Float64s(all)
 		rep.P50Ms = metrics.Quantile(all, 0.50)
@@ -337,12 +389,13 @@ func (r *abortReader) Read(p []byte) (int, error) {
 }
 
 // runChaos drives the server with a deterministic rotation of valid and
-// adversarial requests: well-formed predictions, malformed JSON, bodies
-// far past the server's 1 MiB predict limit, and uploads disconnected
-// mid-body. It reports the status breakdown instead of judging — the
-// caller (the `make ci` chaos smoke) decides which statuses are
-// acceptable; the hard requirement is only that every request gets an
-// orderly HTTP answer or a client-side abort, never a hung connection.
+// adversarial requests through the shared worker loop: well-formed
+// predictions, malformed JSON, bodies far past the server's 1 MiB
+// predict limit, and uploads disconnected mid-body. It reports the
+// status breakdown instead of judging — the caller (the `make ci` chaos
+// smoke) decides which statuses are acceptable; the hard requirement is
+// only that every request gets an orderly HTTP answer or a client-side
+// abort, never a hung connection.
 func runChaos(client *http.Client, baseURL string, conc int, duration time.Duration, reqs []serving.PredictRequest) (Report, error) {
 	if len(reqs) == 0 {
 		return Report{}, fmt.Errorf("empty request corpus")
@@ -362,92 +415,19 @@ func runChaos(client *http.Client, baseURL string, conc int, duration time.Durat
 	// double the server's single-predict limit.
 	oversized := []byte(`{"title":"` + strings.Repeat("a", 2<<20) + `"}`)
 
-	type worker struct {
-		latencies     []float64
-		errors        int
-		disconnects   int
-		statuses      map[int]int
-		chaosStatuses map[int]int
-	}
-	workers := make([]worker, conc)
-	deadline := time.Now().Add(duration)
-	done := make(chan int, conc)
-	for w := 0; w < conc; w++ {
-		go func(w int) {
-			defer func() { done <- w }()
-			wk := &workers[w]
-			wk.statuses = map[int]int{}
-			wk.chaosStatuses = map[int]int{}
-			for k := w; time.Now().Before(deadline); k++ {
-				body := valid[k%len(valid)]
-				start := time.Now()
-				var resp *http.Response
-				var err error
-				adversarial := k%4 != 0
-				switch k % 4 {
-				case 0: // well-formed: the control group.
-					resp, err = client.Post(baseURL+"/v1/predict", "application/json", bytes.NewReader(body))
-				case 1: // malformed JSON: truncated object.
-					broken := body[:len(body)/2]
-					resp, err = client.Post(baseURL+"/v1/predict", "application/json", bytes.NewReader(broken))
-				case 2: // oversized body: past MaxBytesReader.
-					resp, err = client.Post(baseURL+"/v1/predict", "application/json", bytes.NewReader(oversized))
-				case 3: // mid-body disconnect.
-					resp, err = client.Post(baseURL+"/v1/predict", "application/json", &abortReader{data: body[:len(body)/2]})
-					if err != nil {
-						wk.disconnects++
-						continue
-					}
-				}
-				if err != nil {
-					wk.errors++
-					continue
-				}
-				_, _ = bytes.NewBuffer(nil).ReadFrom(resp.Body)
-				resp.Body.Close()
-				// Adversarial traffic is bookkept apart: its responses land
-				// in the chaos histogram and never in the latency samples,
-				// so QPS and percentiles describe well-formed traffic only.
-				if adversarial {
-					wk.chaosStatuses[resp.StatusCode]++
-					continue
-				}
-				wk.statuses[resp.StatusCode]++
-				if resp.StatusCode == http.StatusOK {
-					wk.latencies = append(wk.latencies, float64(time.Since(start).Microseconds())/1000)
-				}
-			}
-		}(w)
-	}
-	for range workers {
-		<-done
-	}
-
-	rep := Report{Mode: "chaos", Concurrency: conc, DurationSec: duration.Seconds()}
-	var all []float64
-	for i := range workers {
-		all = append(all, workers[i].latencies...)
-		rep.Errors += workers[i].errors
-		rep.Disconnects += workers[i].disconnects
-		mergeStatuses(&rep.StatusCounts, workers[i].statuses)
-		mergeStatuses(&rep.ChaosStatusCounts, workers[i].chaosStatuses)
-	}
-	for _, n := range rep.StatusCounts {
-		rep.Requests += n
-	}
-	for _, n := range rep.ChaosStatusCounts {
-		rep.ChaosRequests += n
-	}
-	rep.ChaosRequests += rep.Disconnects
-	rep.Predictions = len(all)
-	if duration > 0 {
-		rep.QPS = float64(rep.Requests) / duration.Seconds()
-	}
-	if len(all) > 0 {
-		sort.Float64s(all)
-		rep.P50Ms = metrics.Quantile(all, 0.50)
-		rep.P95Ms = metrics.Quantile(all, 0.95)
-		rep.P99Ms = metrics.Quantile(all, 0.99)
-	}
+	rep := driveShots(client, baseURL+"/v1/predict", 1, conc, duration, func(k int) shot {
+		body := valid[k%len(valid)]
+		switch k % 4 {
+		case 1: // malformed JSON: truncated object.
+			return shot{body: body[:len(body)/2], chaos: true}
+		case 2: // oversized body: past MaxBytesReader.
+			return shot{body: oversized, chaos: true}
+		case 3: // mid-body disconnect.
+			return shot{body: body[:len(body)/2], chaos: true, tear: true}
+		default: // well-formed: the control group.
+			return shot{body: body}
+		}
+	})
+	rep.Mode = "chaos"
 	return rep, nil
 }

@@ -373,7 +373,9 @@ func (fb *FeatureBuilder) FeaturizeInto(x []float64, ex Extraction, t float64) [
 				count := 0.0
 				for _, d := range g.datasets {
 					for _, comp := range comps {
-						count += float64(fb.stats.EventCount(d.Name, comp, t-T, t))
+						if fb.observes(d, comp) {
+							count += float64(fb.stats.EventCount(d.Name, comp, t-T, t))
+						}
 					}
 				}
 				x[slot] = count
@@ -383,6 +385,9 @@ func (fb *FeatureBuilder) FeaturizeInto(x []float64, ex Extraction, t float64) [
 			merged := (*mp)[:0]
 			for _, d := range g.datasets {
 				for _, comp := range comps {
+					if !fb.observes(d, comp) {
+						continue
+					}
 					cur := fb.source.SeriesWindow(d.Name, comp, t-T, t)
 					if len(cur) == 0 {
 						continue
@@ -403,6 +408,18 @@ func (fb *FeatureBuilder) FeaturizeInto(x []float64, ex Extraction, t float64) [
 	}
 	fb.merge.Put(mp)
 	return x
+}
+
+// observes reports whether dataset d monitors comp's component type
+// (§5.1 tags every dataset with the types it observes). Featurization
+// reads only such pairs: an uncovered read is always empty, so it adds
+// nothing to a feature, and behind a faults.Breaker every such empty
+// window would count toward tripping a healthy dataset.
+//
+//scout:hotpath
+func (fb *FeatureBuilder) observes(d monitoring.Descriptor, comp string) bool {
+	c, ok := fb.topo.Lookup(comp)
+	return ok && d.CoversType(c.Type)
 }
 
 // appendNormalized z-scores the current window against the baseline
@@ -476,17 +493,11 @@ func (fb *FeatureBuilder) CPDInput(ex Extraction, t float64) cpd.Input {
 	for _, g := range fb.groups {
 		for _, d := range g.datasets {
 			for _, comp := range comps {
+				if !fb.observes(d, comp) {
+					continue
+				}
 				if d.Type == monitoring.Event {
 					n := fb.stats.EventCount(d.Name, comp, t-T, t)
-					if n == 0 {
-						// A zero count is ambiguous between "quiet window"
-						// and "dataset does not observe this component";
-						// only the former contributes a zero observation.
-						c, ok := fb.topo.Lookup(comp)
-						if !ok || !d.CoversType(c.Type) {
-							continue
-						}
-					}
 					in.Events[d.Name] = append(in.Events[d.Name], float64(n))
 					continue
 				}

@@ -6,29 +6,13 @@ import (
 	"scouts/internal/monitoring"
 )
 
-// State is a circuit breaker's position.
-type State string
-
-// The classic three breaker states.
-const (
-	// StateClosed: the dataset is trusted; queries flow and failures are
-	// counted.
-	StateClosed State = "closed"
-	// StateOpen: the dataset tripped; queries short-circuit to empty
-	// answers (which featurization imputes over) until the cooldown
-	// elapses.
-	StateOpen State = "open"
-	// StateHalfOpen: the cooldown elapsed; probe queries flow again. One
-	// success closes the breaker, one failure re-opens it.
-	StateHalfOpen State = "half-open"
-)
-
 // BreakerParams tune the per-dataset circuit breakers.
 type BreakerParams struct {
 	// Trip is how many consecutive failed series windows (empty or too
-	// stale) open the breaker. Empty windows are routine for components a
-	// dataset does not cover, and any successful window resets the streak,
-	// so the threshold counts *uninterrupted* emptiness. Default 32.
+	// stale) open the breaker; any successful window resets the streak.
+	// Callers query a dataset only for components it covers, as
+	// featurization does: an uncovered read is always empty and would
+	// trip a healthy dataset. Default 32.
 	Trip int
 	// Cooldown is how long (model hours) an open breaker short-circuits
 	// before allowing probe traffic. Default 2.
@@ -47,22 +31,6 @@ func (p BreakerParams) withDefaults() BreakerParams {
 		p.Cooldown = 2
 	}
 	return p
-}
-
-// gate is one dataset's breaker state machine. Time comes from query
-// windows (model hours), never from the wall clock, so breaker behavior
-// replays deterministically for a fixed query sequence.
-type gate struct {
-	state    State
-	fails    int
-	openedAt float64
-	trips    int
-	// probing marks the single half-open probe slot as taken: exactly one
-	// in-flight query may test a recovering dataset, every concurrent
-	// query short-circuits until the probe's outcome lands in record. Two
-	// racing probes would double-count a failure (re-opening the breaker
-	// twice) or let a burst through a dataset that is still down.
-	probing bool
 }
 
 // Breaker wraps a monitoring.DataSource with a per-dataset circuit
@@ -84,8 +52,11 @@ type Breaker struct {
 	health monitoring.HealthReporter // nil when inner has no health capability
 	p      BreakerParams
 
-	mu    sync.Mutex
-	gates map[string]*gate
+	mu sync.Mutex
+	// gates holds each dataset's breaker, on model hours: time comes from
+	// query windows, never from the wall clock, so breaker behavior
+	// replays deterministically for a fixed query sequence.
+	gates map[string]*machine[float64]
 }
 
 // NewBreaker installs circuit breakers over every dataset of inner.
@@ -95,102 +66,48 @@ func NewBreaker(inner monitoring.DataSource, p BreakerParams) *Breaker {
 		stats:  monitoring.StatsSourceOf(inner),
 		health: monitoring.HealthReporterOf(inner),
 		p:      p.withDefaults(),
-		gates:  map[string]*gate{},
+		gates:  map[string]*machine[float64]{},
 	}
 }
 
 // Datasets implements monitoring.DataSource (registry passthrough).
 func (b *Breaker) Datasets() []monitoring.Descriptor { return b.inner.Datasets() }
 
-// gateOf returns the dataset's gate, creating a closed one on first use.
-// Callers hold b.mu.
-func (b *Breaker) gateOf(dataset string) *gate {
+// gateOf returns the dataset's breaker, creating a closed one on first
+// use. Callers hold b.mu.
+func (b *Breaker) gateOf(dataset string) *machine[float64] {
 	g := b.gates[dataset]
 	if g == nil {
-		g = &gate{state: StateClosed}
+		g = newMachine(b.p.Trip, b.p.Cooldown)
 		b.gates[dataset] = g
 	}
 	return g
 }
 
-// begin decides whether an observed query (one whose outcome will be fed
-// back through record) at time t may reach the inner source. probe marks
-// the query as the half-open trial whose outcome moves the state machine
-// even harder than a closed-state observation; the probe slot is single
-// occupancy — a second observed query racing the probe short-circuits
-// instead of piling a burst onto a dataset that may still be down. The
-// slot is released by record, which every begin(pass=true) caller
-// invokes after its inner query returns.
+// begin decides whether an observed query (one whose outcome record will
+// feed back) at time t may reach the inner source; probe marks the
+// half-open trial holding the dataset's single probe slot. Every
+// begin(pass=true) caller invokes record after its inner query returns.
 func (b *Breaker) begin(dataset string, t float64) (pass, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	g := b.gateOf(dataset)
-	switch g.state {
-	case StateOpen:
-		if t-g.openedAt < b.p.Cooldown {
-			return false, false
-		}
-		g.state = StateHalfOpen
-		g.probing = true
-		return true, true
-	case StateHalfOpen:
-		if g.probing {
-			return false, false
-		}
-		g.probing = true
-		return true, true
-	default:
-		return true, false
-	}
+	return b.gateOf(dataset).allow(t)
 }
 
 // beginPassive decides whether an unobserved query (events; their silence
 // carries no outage signal, so no record follows) may pass. It never
-// takes the probe slot: while a probe is in flight, passive queries flow
-// — the dataset is being tested, not trusted, and an extra read costs
-// nothing the probe is not already risking.
+// takes the probe slot.
 func (b *Breaker) beginPassive(dataset string, t float64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	g := b.gateOf(dataset)
-	if g.state == StateOpen {
-		if t-g.openedAt < b.p.Cooldown {
-			return false
-		}
-		g.state = StateHalfOpen
-	}
-	return true
+	return b.gateOf(dataset).allowPassive(t)
 }
 
-// record feeds a series-window outcome into the state machine.
+// record feeds a series-window outcome into the dataset's breaker.
 func (b *Breaker) record(dataset string, t float64, ok, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	g := b.gateOf(dataset)
-	if probe {
-		g.probing = false
-	}
-	if ok {
-		g.fails = 0
-		if g.state != StateClosed {
-			g.state = StateClosed
-		}
-		return
-	}
-	if probe || g.state == StateHalfOpen {
-		g.state = StateOpen
-		g.openedAt = t
-		g.trips++
-		g.fails = 0
-		return
-	}
-	g.fails++
-	if g.fails >= b.p.Trip {
-		g.state = StateOpen
-		g.openedAt = t
-		g.trips++
-		g.fails = 0
-	}
+	b.gateOf(dataset).record(t, ok, probe)
 }
 
 // tooStale reports whether the inner source admits to unacceptable lag.
@@ -248,8 +165,8 @@ func (b *Breaker) EventCount(dataset, component string, from, to float64) int {
 	return b.stats.EventCount(dataset, component, from, to)
 }
 
-// stateAt reads a gate's effective state at time t without advancing the
-// machine: an open gate past its cooldown reports half-open.
+// stateAt reads a dataset's effective state at time t without advancing
+// its breaker: an open breaker past its cooldown reports half-open.
 func (b *Breaker) stateAt(dataset string, t float64) (State, int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -257,10 +174,7 @@ func (b *Breaker) stateAt(dataset string, t float64) (State, int) {
 	if g == nil {
 		return StateClosed, 0
 	}
-	if g.state == StateOpen && t-g.openedAt >= b.p.Cooldown {
-		return StateHalfOpen, g.trips
-	}
-	return g.state, g.trips
+	return g.stateAt(t), g.trips
 }
 
 // DatasetHealth implements monitoring.HealthReporter: the inner source's
@@ -290,12 +204,8 @@ func (b *Breaker) HealthSnapshot(t float64) []monitoring.DatasetHealth {
 
 // Trips returns how many times the dataset's breaker has opened.
 func (b *Breaker) Trips(dataset string) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if g := b.gates[dataset]; g != nil {
-		return g.trips
-	}
-	return 0
+	_, trips := b.stateAt(dataset, 0)
+	return trips
 }
 
 // Interface conformance checks.

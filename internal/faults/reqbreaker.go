@@ -29,28 +29,29 @@ func (p ReqBreakerParams) withDefaults() ReqBreakerParams {
 // ReqBreaker is the three-state circuit breaker for request/response
 // traffic: the gateway keeps one per replica, so a replica that fails
 // Trip requests in a row stops receiving traffic until a cooldown
-// elapses and a single probe request proves it recovered. It shares the
-// State machine (and the single-occupancy half-open probe slot) with the
-// per-dataset Breaker; the difference is the time base — a replica
-// breaker cools down in wall-clock time, read through an injected clock
-// so tests and deterministic replays never touch time.Now themselves.
+// elapses and a single probe request proves it recovered. It runs the
+// same state machine as the per-dataset Breaker; the difference is the
+// time base — a replica breaker cools down in wall-clock time, read
+// through an injected clock as the time.Duration elapsed since
+// construction, so tests and deterministic replays never touch time.Now
+// themselves.
 type ReqBreaker struct {
-	p   ReqBreakerParams
-	now func() time.Time
+	now   func() time.Time
+	start time.Time
 
-	mu       sync.Mutex
-	state    State
-	fails    int
-	openedAt time.Time
-	probing  bool
-	trips    int
+	mu sync.Mutex
+	m  *machine[time.Duration]
 }
 
 // NewReqBreaker builds a closed breaker reading time through now (which
 // must be non-nil; binaries pass time.Now, tests a fake).
 func NewReqBreaker(p ReqBreakerParams, now func() time.Time) *ReqBreaker {
-	return &ReqBreaker{p: p.withDefaults(), now: now, state: StateClosed}
+	p = p.withDefaults()
+	return &ReqBreaker{now: now, start: now(), m: newMachine(p.Trip, p.Cooldown)}
 }
+
+// elapsed is the breaker's clock reading: time since construction.
+func (b *ReqBreaker) elapsed() time.Duration { return b.now().Sub(b.start) }
 
 // Allow reports whether a request may be sent. probe marks the request
 // as the half-open trial; the caller must feed its outcome back through
@@ -60,23 +61,7 @@ func NewReqBreaker(p ReqBreakerParams, now func() time.Time) *ReqBreaker {
 func (b *ReqBreaker) Allow() (pass, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case StateOpen:
-		if b.now().Sub(b.openedAt) < b.p.Cooldown {
-			return false, false
-		}
-		b.state = StateHalfOpen
-		b.probing = true
-		return true, true
-	case StateHalfOpen:
-		if b.probing {
-			return false, false
-		}
-		b.probing = true
-		return true, true
-	default:
-		return true, false
-	}
+	return b.m.allow(b.elapsed())
 }
 
 // Record feeds one allowed request's outcome into the state machine,
@@ -87,22 +72,7 @@ func (b *ReqBreaker) Allow() (pass, probe bool) {
 func (b *ReqBreaker) Record(ok, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if probe {
-		b.probing = false
-	}
-	if ok {
-		b.fails = 0
-		b.state = StateClosed
-		return
-	}
-	if probe || b.state == StateHalfOpen {
-		b.open()
-		return
-	}
-	b.fails++
-	if b.fails >= b.p.Trip {
-		b.open()
-	}
+	b.m.record(b.elapsed(), ok, probe)
 }
 
 // Release abandons an allowed request without recording an outcome:
@@ -112,21 +82,9 @@ func (b *ReqBreaker) Record(ok, probe bool) {
 // replica's health, and feeding the cancellation in as a failure would
 // let hedging itself trip breakers.
 func (b *ReqBreaker) Release(probe bool) {
-	if !probe {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.probing = false
-}
-
-// open transitions to StateOpen. Callers hold b.mu.
-func (b *ReqBreaker) open() {
-	b.state = StateOpen
-	b.openedAt = b.now()
-	b.trips++
-	b.fails = 0
-	b.probing = false
+	b.m.release(probe)
 }
 
 // State reads the effective state: an open breaker past its cooldown
@@ -134,15 +92,12 @@ func (b *ReqBreaker) open() {
 func (b *ReqBreaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == StateOpen && b.now().Sub(b.openedAt) >= b.p.Cooldown {
-		return StateHalfOpen
-	}
-	return b.state
+	return b.m.stateAt(b.elapsed())
 }
 
 // Trips returns how many times the breaker has opened.
 func (b *ReqBreaker) Trips() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.trips
+	return b.m.trips
 }

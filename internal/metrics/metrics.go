@@ -130,7 +130,9 @@ func (c *CDF) Points(n int) [][2]float64 {
 
 // Quantile computes the q-th quantile of an ALREADY SORTED sample with
 // linear interpolation. It is exported so callers that maintain sorted data
-// can avoid the CDF allocation.
+// can avoid the CDF allocation. The interpolated value is clamped to its
+// two order statistics: a*(1-f)+b*f can round outside [a, b] (even for
+// a == b), and the clamp keeps quantiles monotone in q.
 func Quantile(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {
@@ -149,7 +151,15 @@ func Quantile(sorted []float64, q float64) float64 {
 		return sorted[n-1]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	a, b := sorted[lo], sorted[hi]
+	v := a*(1-frac) + b*frac
+	if v < a {
+		return a
+	}
+	if v > b {
+		return b
+	}
+	return v
 }
 
 // Mean returns the arithmetic mean (0 for an empty sample).

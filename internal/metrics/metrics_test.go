@@ -89,6 +89,21 @@ func TestQuantileInterpolation(t *testing.T) {
 	}
 }
 
+// TestQuantileStaysBetweenOrderStatistics pins a draw on which the bare
+// interpolation a*(1-f)+b*f rounds below a == b (to -523820.3060500009),
+// which left a Summarize ladder unsorted.
+func TestQuantileStaysBetweenOrderStatistics(t *testing.T) {
+	v := -523820.3060500008
+	if got := Quantile([]float64{v, v}, 0.15832827774512764); got != v {
+		t.Fatalf("quantile of a constant sample = %v, want %v", got, v)
+	}
+	s := Summarize([]float64{v, v})
+	ladder := []float64{s.Min, s.P1, s.P10, s.P25, s.P50, s.P75, s.P90, s.P99, s.Max}
+	if !sort.Float64sAreSorted(ladder) {
+		t.Fatalf("Summarize ladder unsorted: %v", ladder)
+	}
+}
+
 func TestSummarizeKnown(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
 	if s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
