@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke lint lint-baseline lint-selfcheck bench bench-pr3 bench-workers bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke soak ci clean
+.PHONY: all build vet test race fuzz-smoke lint lint-baseline lint-selfcheck bench-pr3 bench-workers bench-smoke loadgen-smoke chaos-smoke soak-smoke pack-smoke fleet-smoke soak ci clean
 
 all: ci
 
@@ -35,22 +35,18 @@ race:
 # the whole budget shrinking inputs). A failing input lands in the
 # package's testdata/fuzz/<target> directory; commit it as a seed before
 # fixing the bug it found.
+# FuzzScoutpack and FuzzPackEnvelope reseal each mutated blob with a
+# fresh sha256, so mutations reach the parsers behind the checksum: the
+# SCPK sections, META and the SFF1 decoders (an accepted scoutpack must
+# restore, predict under a full monitoring blackout and re-snapshot to a
+# fixed point), and the SDP1 disk envelope (an accepted file must carry
+# a valid scoutpack at the requested version and re-encode to the same
+# Model).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDetect$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/ml/cpd
 	$(GO) test -run '^$$' -fuzz '^FuzzForestFromBinary$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/ml/forest
-
-# Model-load benchmarks, paired: the JSON snapshot path (parse, rebuild
-# pointer trees, re-derive the flat arrays) vs the scoutpack binary path
-# (verify checksum, adopt the arrays), warm in memory and cold through
-# the disk envelope. Results land in BENCH_LOAD.json (ns/op, allocs/op,
-# per-result pkg) via cmd/benchjson; divide the pairs
-# RestoreJSON/RestorePack and ColdLoadJSON/ColdLoadPack. The committed
-# BENCH_PR7.json is the historical record of the same pass plus the
-# since-deleted quantized-kernel comparison.
-bench:
-	$(GO) test -bench 'RestoreJSON$$|RestorePack$$|ColdLoadJSON$$|ColdLoadPack$$' -benchtime 50x -run '^$$' . \
-		| $(GO) run ./cmd/benchjson > BENCH_LOAD.json
-	@cat BENCH_LOAD.json
+	$(GO) test -run '^$$' -fuzz '^FuzzScoutpack$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzPackEnvelope$$' -fuzztime 15s -fuzzminimizetime 5s ./internal/serving
 
 # The PR 3 kernel benchmarks (split finder, featurization, window
 # aggregates, flat vs pointer inference, serving predict paths), kept
@@ -117,10 +113,9 @@ soak:
 	@cat BENCH_PR6.json
 
 # Pack/inspect smoke: boots a tiny scoutd against an empty -store (it
-# trains and publishes a scoutpack), then drives scoutctl's inspect and
-# pack subcommands at the directory — the CLI surface of the DESIGN.md
-# §12 binary model format, exercised end to end. The JSON→pack
-# conversion itself is pinned by TestRepackStore in the race suite.
+# trains and publishes a scoutpack), then drives scoutctl inspect at the
+# published file — the CLI surface of the DESIGN.md §12 model format,
+# exercised end to end.
 pack-smoke:
 	$(GO) build -o /tmp/scouts-pack-scoutd ./cmd/scoutd
 	$(GO) build -o /tmp/scouts-pack-scoutctl ./cmd/scoutctl
@@ -131,8 +126,7 @@ pack-smoke:
 		curl -fsS http://127.0.0.1:8094/v1/health >/dev/null 2>&1 && break; \
 		sleep 1; \
 	done; \
-	/tmp/scouts-pack-scoutctl inspect $$dir/model-000001.pack; \
-	/tmp/scouts-pack-scoutctl pack $$dir
+	/tmp/scouts-pack-scoutctl inspect $$dir/model-000001.pack
 
 # Fleet smoke: the resilient-gateway kill test with real processes. The
 # in-process halves (loadgen -fleet plumbing, the gateway's own kill

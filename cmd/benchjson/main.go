@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` output on stdin into a JSON
 // document on stdout, so benchmark runs can be committed and diffed
 // (BENCH_PR2.json, BENCH_PR3.json) without scraping the text format. Input
-// may concatenate runs from several packages (as `make bench` does); each
+// may concatenate runs from several packages (as `make bench-pr3` does); each
 // result carries the package it came from. Only the standard library is
 // used.
 //

@@ -68,6 +68,39 @@ func TestDriveHonors429(t *testing.T) {
 	}
 }
 
+// TestJudgeForgivesHonored429: a 429 that was slept out and retried is
+// one request that ended in its retry's answer, so the soak verdict
+// counts the retry's 200 and not the 429. A request shed with a final
+// 429 still fails the error rate.
+func TestJudgeForgivesHonored429(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if calls.Add(1) == 1 {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer ts.Close()
+
+	rep := drive(ts.Client(), ts.URL, "/v1/predict", [][]byte{[]byte(`{}`)}, 1, 1, 1500*time.Millisecond)
+	if rep.Retries != 1 || rep.StatusCounts["429"] != 1 {
+		t.Fatalf("stub 429 not retried once: %+v", rep)
+	}
+	sr := SoakReport{Report: rep}
+	if v := judge(SLO{P99Ms: 60_000, MaxErrorRate: 0}, &sr); !v.Pass || v.ErrorRate != 0 {
+		t.Fatalf("an honored 429 failed the verdict: %+v", v)
+	}
+
+	// Two 429s: one retried into a 200, one shed. Of 9 requests, the
+	// shed one failed.
+	shed := SoakReport{Report: Report{StatusCounts: map[string]int{"200": 8, "429": 2}, Retries: 1, Shed: 1}}
+	if v := judge(SLO{P99Ms: 60_000, MaxErrorRate: 1}, &shed); v.ErrorRate != 1.0/9 {
+		t.Fatalf("shed request error rate = %v, want 1/9", v.ErrorRate)
+	}
+}
+
 // TestDriveShedsWhenDeadlineBeatsHint: a 429 whose hint does not fit in
 // the remaining run is a shed, not a retry and not an error.
 func TestDriveShedsWhenDeadlineBeatsHint(t *testing.T) {

@@ -106,10 +106,14 @@ func runSoak(client *http.Client, baseURL, mode string, batch, conc int,
 }
 
 // judge renders the verdict from the client-side report and the final
-// server-side scrape.
+// server-side scrape. The error rate is per request, not per attempt: a
+// 429 that was slept out and retried appears once in StatusCounts and
+// once in Retries, and its retry's answer is what the request got, so
+// Retries is subtracted from both the total and the failures. A request
+// whose final answer was 429 (Shed) still counts as failed.
 func judge(slo SLO, sr *SoakReport) SLOResult {
 	res := SLOResult{Target: slo, P99Ms: sr.P99Ms}
-	total := sr.Errors
+	total := sr.Errors - sr.Retries
 	ok := 0
 	for code, n := range sr.StatusCounts {
 		total += n

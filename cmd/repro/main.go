@@ -13,8 +13,8 @@
 //
 // Forest training runs on the presorted-columns split kernel and
 // featurization on the O(log n) window-aggregate layer (DESIGN.md §7);
-// results are bit-identical to the seed kernels at any -workers value, and
-// `make bench` records the kernel speedups in BENCH_PR2.json.
+// results are bit-identical to the seed kernels at any -workers value;
+// BENCH_PR2.json records the kernel speedups.
 package main
 
 import (

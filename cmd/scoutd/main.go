@@ -9,12 +9,12 @@
 //
 // -store points at a SaveStore directory. When it already holds model
 // versions, scoutd serves the newest one instead of training at boot —
-// scoutpack (.pack) versions load through the zero-re-derivation binary
-// path — and POST /v1/reload re-reads the directory, so versions
-// published by another process (an offline trainer, `scoutctl pack`)
-// are picked up live. When the directory is empty, scoutd trains once,
-// publishes the model into it as a scoutpack, and serves the scout it
-// just trained directly (no snapshot round trip).
+// scoutpacks load through the zero-re-derivation binary path — and
+// POST /v1/reload re-reads the directory, so versions published by
+// another process (an offline trainer) are picked up live. When the
+// directory is empty, scoutd trains once, publishes the model into it
+// as a scoutpack, and serves the scout it just trained directly (no
+// snapshot round trip).
 //
 // Endpoints:
 //
@@ -134,7 +134,7 @@ func run(addr string, seed int64, days int, rate float64, workers int, opts serv
 	var scout *core.Scout
 	var version int
 	if store.Versions() == 0 {
-		trainer := &serving.Trainer{Store: store, Pack: true}
+		trainer := &serving.Trainer{Store: store}
 		start := time.Now()
 		var err error
 		scout, version, err = trainer.TrainAndPublish(core.TrainOptions{

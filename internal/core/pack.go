@@ -9,19 +9,14 @@ import (
 
 	"scouts/internal/ml/cpd"
 	"scouts/internal/ml/forest"
-	"scouts/internal/monitoring"
-	"scouts/internal/text"
-	"scouts/internal/topology"
 )
 
 // This file is the Scout-level binary snapshot ("scoutpack"): the
 // container that ships a whole trained Scout — routing forest, CPD+ model,
 // selector — as one checksummed blob whose forest payloads are the SFF1
-// flat arrays (forest/pack.go), loadable with zero re-derivation. The JSON
-// snapshot remains the training-side interchange format; scoutpack is the
-// serving-side distribution format. PackSnapshot converts between them
-// without needing a topology or data source, so a fleet can repack its
-// stored JSON snapshots in place.
+// flat arrays (forest/pack.go), loadable with zero re-derivation. It is
+// the only snapshot format: Snapshot writes it and Restore reads it
+// (snapshot.go).
 //
 // Layout ("SCPK", all little-endian):
 //
@@ -48,13 +43,12 @@ const (
 var scoutpackSections = []string{"META", "FRST", "CRST", "SRST"}
 
 // ErrNotScoutpack is returned when a blob does not start with the SCPK
-// magic — Restore uses it to fall through to the JSON path.
+// magic.
 var ErrNotScoutpack = errors.New("core: not a scoutpack snapshot")
 
 // packMetaDTO is the JSON-encoded META section: everything in a snapshot
-// that is not a forest. It is deliberately JSON — tiny, human-auditable
-// with `scoutctl inspect`, and versioned by field presence like the
-// snapshot DTO it mirrors.
+// that is not a forest. It is deliberately JSON — tiny, human-auditable,
+// and versioned by field presence.
 type packMetaDTO struct {
 	ConfigSource      string         `json:"config"`
 	TrainMeans        []float64      `json:"train_means"`
@@ -62,60 +56,6 @@ type packMetaDTO struct {
 	CPDParams         cpd.PlusParams `json:"cpd_params"`
 	SelectorWords     []string       `json:"selector_words,omitempty"`
 	SelectorThreshold float64        `json:"selector_threshold,omitempty"`
-}
-
-// SnapshotPack serializes a trained Scout to the scoutpack binary format.
-// The same snapshottability rules as Snapshot apply.
-func (s *Scout) SnapshotPack() ([]byte, error) {
-	if s.cfg.Source == "" {
-		return nil, fmt.Errorf("%w: configuration has no source text", ErrNotSnapshottable)
-	}
-	sel, ok := s.selector.(*Selector)
-	if !ok {
-		return nil, fmt.Errorf("%w: custom decider %T", ErrNotSnapshottable, s.selector)
-	}
-	cpdParams, cpdRF := s.cpdPlus.Parts()
-	meta := packMetaDTO{
-		ConfigSource: s.cfg.Source,
-		TrainMeans:   s.trainMeans,
-		Detector:     s.detector,
-		CPDParams:    cpdParams,
-	}
-	var selRF *forest.Forest
-	if sel.rf != nil {
-		meta.SelectorWords = sel.words.Names()
-		meta.SelectorThreshold = sel.threshold
-		selRF = sel.rf
-	}
-	return assemblePack(meta, s.rf, cpdRF, selRF)
-}
-
-// PackSnapshot converts a JSON snapshot (Snapshot's output) into a
-// scoutpack, without a topology or data source: it is a pure format
-// conversion, usable against stored snapshot files. Predictions of the
-// packed scout are bit-identical to the JSON-restored one.
-func PackSnapshot(jsonSnap []byte) ([]byte, error) {
-	var dto snapshotDTO
-	if err := json.Unmarshal(jsonSnap, &dto); err != nil {
-		return nil, fmt.Errorf("core: decoding snapshot for packing: %w", err)
-	}
-	if dto.Forest == nil || dto.CPD == nil {
-		return nil, errors.New("core: snapshot missing models")
-	}
-	cpdParams, cpdRF := dto.CPD.Parts()
-	meta := packMetaDTO{
-		ConfigSource: dto.ConfigSource,
-		TrainMeans:   dto.TrainMeans,
-		Detector:     dto.Detector,
-		CPDParams:    cpdParams,
-	}
-	var selRF *forest.Forest
-	if dto.Selector != nil && dto.Selector.RF != nil {
-		meta.SelectorWords = dto.Selector.Words
-		meta.SelectorThreshold = dto.Selector.Threshold
-		selRF = dto.Selector.RF
-	}
-	return assemblePack(meta, dto.Forest, cpdRF, selRF)
 }
 
 // assemblePack writes the envelope: header with a checksum placeholder,
@@ -230,60 +170,6 @@ func parseScoutpack(data []byte) (map[string][]byte, error) {
 	return secs, nil
 }
 
-// restorePack rebuilds a Scout from a scoutpack blob — Restore's binary
-// path. The forests come up flat-only: inference works through the SFF1
-// arrays with zero re-derivation, and Snapshot/SnapshotPack on the result
-// are unavailable (the pointer trees are gone by design).
-func restorePack(data []byte, topo *topology.Topology, source monitoring.DataSource) (*Scout, error) {
-	secs, err := parseScoutpack(data)
-	if err != nil {
-		return nil, err
-	}
-	var meta packMetaDTO
-	if err := json.Unmarshal(secs["META"], &meta); err != nil {
-		return nil, fmt.Errorf("core: scoutpack META: %w", err)
-	}
-	rf, err := forest.ForestFromBinary(secs["FRST"])
-	if err != nil {
-		return nil, fmt.Errorf("core: scoutpack routing forest: %w", err)
-	}
-	var cpdRF *forest.Forest
-	if blob := secs["CRST"]; blob != nil {
-		if cpdRF, err = forest.ForestFromBinary(blob); err != nil {
-			return nil, fmt.Errorf("core: scoutpack CPD+ forest: %w", err)
-		}
-	}
-	cfg, err := ParseConfig(meta.ConfigSource)
-	if err != nil {
-		return nil, fmt.Errorf("core: scoutpack config: %w", err)
-	}
-	s := &Scout{
-		cfg:        cfg,
-		rf:         rf,
-		cpdPlus:    cpd.PlusFromParts(meta.CPDParams, cpdRF),
-		trainMeans: meta.TrainMeans,
-		detector:   meta.Detector,
-	}
-	s.fb = NewFeatureBuilder(cfg, topo, source)
-	if got, want := len(s.fb.FeatureNames()), len(rf.Features()); got != want {
-		return nil, fmt.Errorf("core: scoutpack layout (%d features) does not match data source (%d)", want, got)
-	}
-	if blob := secs["SRST"]; blob != nil {
-		selRF, err := forest.ForestFromBinary(blob)
-		if err != nil {
-			return nil, fmt.Errorf("core: scoutpack selector forest: %w", err)
-		}
-		s.selector = &Selector{
-			words:     text.NewWordCounter(meta.SelectorWords),
-			rf:        selRF,
-			threshold: meta.SelectorThreshold,
-		}
-	} else {
-		s.selector = &Selector{}
-	}
-	return s, nil
-}
-
 // PackInfo summarizes a scoutpack for operators (`scoutctl inspect`).
 type PackInfo struct {
 	Version     int     `json:"version"`
@@ -336,12 +222,6 @@ func InspectPack(data []byte) (PackInfo, error) {
 		info.SelTrees = f.NumTrees()
 	}
 	return info, nil
-}
-
-// IsScoutpack reports whether data carries the scoutpack magic — the
-// cheap format sniff the diskstore and Restore share.
-func IsScoutpack(data []byte) bool {
-	return len(data) >= 4 && string(data[:4]) == scoutpackMagic
 }
 
 // VerifyScoutpack checks a scoutpack's envelope — magic, version,

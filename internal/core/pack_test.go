@@ -4,80 +4,48 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
-// TestScoutpackRoundTrip is the container-level round-trip gate: a Scout
-// restored from its scoutpack answers every held-out incident exactly as
-// the JSON-restored one does — same verdicts, bit-identical confidences.
+// TestScoutpackRoundTrip is the container-level equivalence oracle: a
+// Scout restored from its scoutpack answers every held-out incident
+// exactly as the live trained Scout does — same verdicts, bit-identical
+// confidences, the same explanation text and data-health report.
 func TestScoutpackRoundTrip(t *testing.T) {
 	f := getFixture(t)
-	jsonSnap, err := f.scout.Snapshot()
+	pack, err := f.scout.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pack, err := f.scout.SnapshotPack()
+	fromPack, err := Restore(pack, f.gen.Topology(), f.gen.Telemetry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if float64(len(pack)) > float64(len(jsonSnap)) {
-		t.Logf("note: pack (%d B) larger than JSON (%d B)", len(pack), len(jsonSnap))
-	}
-
-	topo, tel := f.gen.Topology(), f.gen.Telemetry()
-	fromJSON, err := Restore(jsonSnap, topo, tel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromPack, err := Restore(pack, topo, tel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, in := range f.test[:80] {
-		pj := fromJSON.PredictIncident(in)
+	for i, in := range f.test {
+		pl := f.scout.PredictIncident(in)
 		pp := fromPack.PredictIncident(in)
-		if pj.Verdict != pp.Verdict || pj.Responsible != pp.Responsible {
-			t.Fatalf("incident %d: pack verdict %v/%v != json %v/%v", i, pp.Verdict, pp.Responsible, pj.Verdict, pj.Responsible)
+		if pl.Verdict != pp.Verdict || pl.Responsible != pp.Responsible {
+			t.Fatalf("incident %d: pack verdict %v/%v != live %v/%v", i, pp.Verdict, pp.Responsible, pl.Verdict, pl.Responsible)
 		}
-		if math.Float64bits(pj.Confidence) != math.Float64bits(pp.Confidence) {
-			t.Fatalf("incident %d: pack confidence %v != json %v", i, pp.Confidence, pj.Confidence)
+		if math.Float64bits(pl.Confidence) != math.Float64bits(pp.Confidence) {
+			t.Fatalf("incident %d: pack confidence %v != live %v", i, pp.Confidence, pl.Confidence)
+		}
+		if pl.Explanation != pp.Explanation {
+			t.Fatalf("incident %d: pack explanation %q != live %q", i, pp.Explanation, pl.Explanation)
+		}
+		if !reflect.DeepEqual(pl.Health, pp.Health) {
+			t.Fatalf("incident %d: pack data health %+v != live %+v", i, pp.Health, pl.Health)
 		}
 	}
 }
 
-// TestPackSnapshotConversion pins that the offline conversion path —
-// PackSnapshot over a stored JSON snapshot, no topology or data source —
-// produces byte-identical output to packing the live Scout: flattening is
-// deterministic, so both routes meet at the same arrays.
-func TestPackSnapshotConversion(t *testing.T) {
-	f := getFixture(t)
-	jsonSnap, err := f.scout.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	converted, err := PackSnapshot(jsonSnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := f.scout.SnapshotPack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(converted, direct) {
-		t.Fatal("PackSnapshot(json) differs from SnapshotPack() on the same scout")
-	}
-	if _, err := PackSnapshot([]byte(`{"config":""}`)); err == nil {
-		t.Fatal("snapshot without models must not pack")
-	}
-}
-
-// TestScoutpackRepackIdempotent pins the serving-side property that makes
-// in-place fleet conversion safe: packing a pack-restored Scout
-// reproduces the original bytes (while the JSON snapshot is refused — the
-// pointer trees are gone).
+// TestScoutpackRepackIdempotent pins that a pack-restored Scout
+// snapshots like a trained one: its snapshot reproduces the original
+// bytes, and restoring a non-scoutpack blob fails with ErrNotScoutpack.
 func TestScoutpackRepackIdempotent(t *testing.T) {
 	f := getFixture(t)
-	pack, err := f.scout.SnapshotPack()
+	pack, err := f.scout.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,15 +53,40 @@ func TestScoutpackRepackIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := restored.SnapshotPack()
+	again, err := restored.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(pack, again) {
-		t.Fatal("repacking a pack-restored scout changed the bytes")
+		t.Fatal("snapshotting a pack-restored scout changed the bytes")
 	}
-	if _, err := restored.Snapshot(); err == nil {
-		t.Fatal("pack-restored scout must refuse the JSON snapshot")
+	if _, err := Restore([]byte(`{"config":""}`), f.gen.Topology(), f.gen.Telemetry()); !errors.Is(err, ErrNotScoutpack) {
+		t.Fatalf("restoring a JSON blob: err = %v, want ErrNotScoutpack", err)
+	}
+}
+
+// TestRestoreRejectsTrainMeansMismatch pins the imputation guard: a
+// checksum-valid scoutpack whose META carries fewer train means than the
+// routing forest has features must fail Restore, not panic the first
+// prediction that imputes a slot past the end.
+func TestRestoreRejectsTrainMeansMismatch(t *testing.T) {
+	f := getFixture(t)
+	cpdParams, cpdRF := f.scout.cpdPlus.Parts()
+	sel := f.scout.selector.(*Selector)
+	meta := packMetaDTO{
+		ConfigSource:      f.scout.cfg.Source,
+		TrainMeans:        f.scout.trainMeans[:1],
+		Detector:          f.scout.detector,
+		CPDParams:         cpdParams,
+		SelectorWords:     sel.words.Names(),
+		SelectorThreshold: sel.threshold,
+	}
+	pack, err := assemblePack(meta, f.scout.rf, cpdRF, sel.rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(pack, f.gen.Topology(), f.gen.Telemetry()); err == nil {
+		t.Fatal("scoutpack with 1 train mean restored against a full routing forest")
 	}
 }
 
@@ -102,7 +95,7 @@ func TestScoutpackRepackIdempotent(t *testing.T) {
 // header checks catch structural damage.
 func TestScoutpackRejectsCorruption(t *testing.T) {
 	f := getFixture(t)
-	pack, err := f.scout.SnapshotPack()
+	pack, err := f.scout.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +116,7 @@ func TestScoutpackRejectsCorruption(t *testing.T) {
 			t.Errorf("truncation at %d inspected without error", cut)
 		}
 	}
-	// A non-pack blob must answer ErrNotScoutpack so sniffers can fall
-	// through to JSON.
+	// A non-pack blob must answer ErrNotScoutpack.
 	if _, err := parseScoutpack([]byte("not a pack at all")); !errors.Is(err, ErrNotScoutpack) {
 		t.Fatalf("want ErrNotScoutpack, got %v", err)
 	}
@@ -133,7 +125,7 @@ func TestScoutpackRejectsCorruption(t *testing.T) {
 // TestInspectPack checks the operator summary against the live scout.
 func TestInspectPack(t *testing.T) {
 	f := getFixture(t)
-	pack, err := f.scout.SnapshotPack()
+	pack, err := f.scout.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,3 +223,14 @@ func (c *Plus) PredictVector(x []float64) (bool, float64, string) {
 	label, conf := c.rf.Predict(x)
 	return label, conf, "cluster-level change-point model (cached vector)"
 }
+
+// Parts decomposes the model into its parameters and (possibly nil)
+// broad-incident forest, which the scoutpack container serializes
+// through their own formats.
+func (c *Plus) Parts() (PlusParams, *forest.Forest) { return c.params, c.rf }
+
+// PlusFromParts reassembles a model from Parts' output — the scoutpack
+// loader's side of Parts.
+func PlusFromParts(p PlusParams, rf *forest.Forest) *Plus {
+	return &Plus{params: p, rf: rf}
+}

@@ -8,15 +8,15 @@ import (
 // flatForest is the inference-time representation of a trained forest: the
 // pointer-addressed per-tree node slices flattened into one contiguous
 // structure-of-arrays layout. The pointer trees remain the training
-// representation and the snapshot format (snapshots stay byte-identical);
-// the flat view is derived from them once, at Train or UnmarshalJSON time.
+// representation; the flat view is derived from them once, at Train, and
+// it is what the SFF1 binary snapshot (pack.go) writes and loads.
 //
 // Why SoA: at prediction time a traversal step reads exactly one feature
-// index, one threshold and one child index — never the training-time node
-// weight, and the probability only at the leaf. The 48-byte AoS node drags
-// all of that through the cache per step; parallel arrays touch only the
-// bytes the step uses, int32 indices halve them again, and concatenating
-// every tree removes the per-tree slice-header indirection.
+// index, one threshold and one child index, and the probability only at
+// the leaf. The 40-byte AoS node drags all of that through the cache per
+// step; parallel arrays touch only the bytes the step uses, int32 indices
+// halve them again, and concatenating every tree removes the per-tree
+// slice-header indirection.
 //
 // Node order within a tree is breadth-first with the two children of every
 // split allocated adjacently, so a single child index describes both:
@@ -45,9 +45,9 @@ type flatForest struct {
 }
 
 // flatDerivations counts newFlatForest calls. It exists for the
-// exactly-once-per-load guard tests (a JSON load must derive the flat
-// view exactly once per forest; a binary pack load must derive it zero
-// times) and has no other consumers.
+// derivation-count guard tests (Train derives the flat view exactly once
+// per forest; a binary pack load derives it zero times) and has no other
+// consumers.
 var flatDerivations atomic.Int64
 
 // FlatDerivations reports how many pointer-tree flattenings have run in

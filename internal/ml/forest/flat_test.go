@@ -1,7 +1,6 @@
 package forest
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"strings"
@@ -47,38 +46,38 @@ func TestFlatMatchesPointerKernel(t *testing.T) {
 	}
 }
 
-// TestFlatSurvivesSnapshotRoundTrip checks the restore path derives the
-// same flat view Train does: a restored forest's flat predictions match
-// the original's, and the snapshot bytes themselves are unchanged by the
-// flat layer (the pointer trees remain the snapshot format).
+// TestFlatSurvivesSnapshotRoundTrip checks the restore path adopts the
+// flat view Train derived: a restored forest's flat predictions match the
+// original's, and re-encoding the restored forest reproduces the snapshot
+// bytes exactly.
 func TestFlatSurvivesSnapshotRoundTrip(t *testing.T) {
 	d := xorDataset(300, 0.1, rand.New(rand.NewSource(24)))
 	f, err := Train(d, Params{NumTrees: 15, MaxDepth: 6, Seed: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(f)
+	blob, err := f.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r Forest
-	if err := json.Unmarshal(blob, &r); err != nil {
+	r, err := ForestFromBinary(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if r.flat == nil {
-		t.Fatal("restore must derive the flat view")
+		t.Fatal("restore must carry the flat view")
 	}
 	for i, x := range probeVectors(50, 26) {
 		if r.PredictProb(x) != f.PredictProb(x) {
 			t.Fatalf("probe %d: restored flat forest disagrees", i)
 		}
 	}
-	blob2, err := json.Marshal(&r)
+	blob2, err := r.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(blob) != string(blob2) {
-		t.Fatal("flat layer must not change the snapshot format")
+		t.Fatal("a restored forest must re-encode to the same snapshot")
 	}
 }
 

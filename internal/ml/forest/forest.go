@@ -74,14 +74,14 @@ type Forest struct {
 	imp      []float64 // normalized mean decrease in impurity
 	params   Params
 	// flat is the inference-time flattened SoA view of trees, derived once
-	// at Train/UnmarshalJSON time (see flat.go) — or loaded directly, with
+	// at Train (see flat.go) — or loaded directly, with
 	// no derivation at all, from a binary pack (pack.go), in which case
 	// trees stays nil and the forest is inference-only.
 	flat *flatForest
 }
 
-// treeCount is the ensemble size for both representations: pointer-tree
-// forests (training, JSON snapshots) count trees; pack-loaded forests
+// treeCount is the ensemble size for both representations: trained
+// forests count their pointer trees; pack-loaded forests
 // carry only the flat view and count its roots.
 func (f *Forest) treeCount() int {
 	if f.trees != nil {

@@ -2,7 +2,6 @@ package forest_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"scouts/internal/experiments"
@@ -13,8 +12,8 @@ import (
 // fixed-seed lab training set (real feature distributions — heavy zero
 // runs, summary-statistic columns), the presorted split kernel and the
 // retained seed kernel serialize to byte-identical snapshots, at one worker
-// and at eight. A snapshot captures every split feature, threshold, leaf
-// probability and node weight, so byte equality means the optimization
+// and at eight. A snapshot captures every split feature, threshold, node
+// probability and importance, so byte equality means the optimization
 // changed nothing but speed.
 func TestGoldenEquivalenceOnLabData(t *testing.T) {
 	if testing.Short() {
@@ -37,11 +36,11 @@ func TestGoldenEquivalenceOnLabData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := json.Marshal(presorted)
+		a, err := presorted.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(seed)
+		b, err := seed.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package forest
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -17,7 +16,7 @@ func snapshotWith(t *testing.T, d *mlcore.Dataset, p Params) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(f)
+	b, err := f.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,9 @@ import (
 // This file is the forest's binary snapshot: the flat SoA inference view
 // (flat.go) written out as-is, so loading is an array copy with zero
 // re-derivation — no pointer trees rebuilt, no breadth-first renumbering,
-// no JSON text parsed. The JSON snapshot (json.go) remains the training
-// interchange format; the binary form is what the serving fleet ships,
-// because at fleet scale model distribution and hot-swap latency are
-// dominated by exactly the work this format deletes.
+// no JSON text parsed. It is the forest's only snapshot format, because
+// at fleet scale model distribution and hot-swap latency are dominated by
+// exactly the work it deletes.
 //
 // Layout ("SFF1", all little-endian):
 //
@@ -55,7 +54,7 @@ const packMagic = "SFF1"
 var packSections = []string{"FEAT", "PRMS", "IMPT", "NDFT", "NDTH", "NDKD", "NDPB", "ROOT", "DPTH", "PRIR"}
 
 // ErrNotPacked is returned by ForestFromBinary when the blob does not
-// start with the SFF1 magic — callers sniffing formats test against it.
+// start with the SFF1 magic.
 var ErrNotPacked = errors.New("forest: not an SFF1 binary forest")
 
 // AppendBinary appends the forest's SFF1 binary snapshot to buf and
@@ -121,8 +120,8 @@ func appendI32s(buf []byte, vs []int32) []byte {
 // ForestFromBinary loads an SFF1 blob written by AppendBinary. The flat
 // inference view is filled by direct array copies — newFlatForest never
 // runs — so the returned forest is inference-only: it predicts and
-// explains through the flat kernels but has no pointer trees and cannot
-// re-serialize to JSON.
+// explains through the flat kernels but has no pointer trees. It
+// re-serializes with AppendBinary like a trained forest.
 func ForestFromBinary(data []byte) (*Forest, error) {
 	secs, err := parsePackSections(data)
 	if err != nil {

@@ -2,7 +2,6 @@ package forest
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"testing"
 )
@@ -19,7 +18,7 @@ func TestParallelTrainingBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(f)
+		b, err := f.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,22 +35,27 @@ func TestParallelTrainingBitIdentical(t *testing.T) {
 
 // TestWorkersExcludedFromSnapshot pins the json:"-" tag on Params.Workers:
 // a runtime tuning knob must not leak into persisted models (it would break
-// snapshot equality across machines with different core counts).
+// snapshot equality across machines with different core counts). The
+// snapshot's PRMS section is the JSON-encoded Params.
 func TestWorkersExcludedFromSnapshot(t *testing.T) {
 	d := xorDataset(100, 0.1, rand.New(rand.NewSource(22)))
 	f, err := Train(d, Params{NumTrees: 4, Seed: 1, Workers: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(f)
+	b, err := f.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(b, []byte("workers")) || bytes.Contains(b, []byte("Workers")) {
-		t.Fatalf("snapshot leaks the Workers knob: %s", b)
+	secs, err := parsePackSections(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var back Forest
-	if err := json.Unmarshal(b, &back); err != nil {
+	if prms := secs["PRMS"]; bytes.Contains(prms, []byte("workers")) || bytes.Contains(prms, []byte("Workers")) {
+		t.Fatalf("snapshot leaks the Workers knob: %s", prms)
+	}
+	back, err := ForestFromBinary(b)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if back.params.Workers != 0 {

@@ -10,7 +10,6 @@ type node struct {
 	threshold   float64 // go left when x[feature] <= threshold
 	left, right int     // child indices into tree.nodes
 	prob        float64 // weighted fraction of positive samples reaching here
-	weight      float64 // total sample weight reaching here (training time)
 }
 
 // tree is a CART classification tree trained with weighted Gini impurity.
@@ -174,7 +173,7 @@ func isLeaf(p *treeParams, depth int, wSum, wPos float64) bool {
 // the caller already accumulated — and returns its root node index.
 func (t *tree) grow(ctx *splitCtx, p *treeParams, lo, hi, depth int, wSum, wPos float64) int {
 	me := len(t.nodes)
-	t.nodes = append(t.nodes, node{feature: -1, prob: safeDiv(wPos, wSum), weight: wSum})
+	t.nodes = append(t.nodes, node{feature: -1, prob: safeDiv(wPos, wSum)})
 
 	if isLeaf(p, depth, wSum, wPos) {
 		return me

@@ -32,7 +32,7 @@ func (t *tree) growReference(d *mlcore.Dataset, idx []int, p *treeParams, depth 
 		}
 	}
 	me := len(t.nodes)
-	t.nodes = append(t.nodes, node{feature: -1, prob: safeDiv(wPos, wSum), weight: wSum})
+	t.nodes = append(t.nodes, node{feature: -1, prob: safeDiv(wPos, wSum)})
 
 	if depth >= p.maxDepth || wSum <= p.minLeaf || wPos == 0 || wPos == wSum {
 		return me

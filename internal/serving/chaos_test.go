@@ -39,41 +39,13 @@ func chaosSource(t *testing.T, seed int64) (monitoring.DataSource, []string) {
 	return faults.NewBreaker(chaos, faults.BreakerParams{Trip: 8, Cooldown: 2}), dark
 }
 
-// The chaos tests share one clean-trained snapshot (training is the
-// expensive part and every test serves the same model).
-var (
-	onceSnap sync.Once
-	snapData []byte
-	snapErr  error
-)
-
-func chaosSnapshot(t *testing.T) []byte {
-	t.Helper()
-	gen, log, cfg := testEnv(t)
-	onceSnap.Do(func() {
-		scout, err := core.Train(core.TrainOptions{
-			Config: cfg, Topology: gen.Topology(), Source: gen.Telemetry(),
-			Incidents: log.Incidents[:300], Seed: 1,
-		})
-		if err != nil {
-			snapErr = err
-			return
-		}
-		snapData, snapErr = scout.Snapshot()
-	})
-	if snapErr != nil {
-		t.Fatal(snapErr)
-	}
-	return snapData
-}
-
 // chaosServe publishes the shared clean-trained model and serves it
 // against the chaos-wrapped source with the full hardening chain on.
 func chaosServe(t *testing.T, src monitoring.DataSource) *Server {
 	t.Helper()
 	gen, _, _ := testEnv(t)
 	store := NewStore()
-	store.Put("PhyNet", chaosSnapshot(t))
+	store.Put("PhyNet", packFixture(t))
 	srv := NewServer(gen.Topology(), src, store, nil)
 	srv.MaxInFlight = 4
 	srv.RequestTimeout = 30 * time.Second

@@ -15,35 +15,24 @@ import (
 	"scouts/internal/core"
 )
 
-// The disk store persists versioned models in two on-disk formats,
-// sniffed by extension and magic on load:
+// The disk store persists each model version as model-%06d.pack, the
+// binary envelope around a scoutpack snapshot:
 //
-//   - model-%06d.json — the JSON envelope: {"checksum","model"} with a
-//     sha256 over the serialized Model. The training-side interchange
-//     format; any snapshot kind can live here.
-//   - model-%06d.pack — the binary envelope for scoutpack snapshots:
-//     magic "SDP1" | u32 metaLen | meta JSON (version/team/trained_at +
-//     payload checksum) | raw scoutpack bytes. Loading it never parses
-//     the multi-megabyte snapshot through encoding/json, which is the
-//     point: the snapshot bytes land in memory as-is and core.Restore's
-//     zero-re-derivation path takes over.
+//	magic "SDP1" | u32 metaLen | meta JSON | raw scoutpack bytes
 //
-// When both extensions exist for one version, the pack wins (a repack
-// run — `scoutctl pack` — leaves the JSON file as a fallback for older
-// readers). Damaged files of either format are quarantined, not fatal.
-
-// diskEnvelope is the JSON on-disk form of one model version: the
-// serialized Model plus a checksum over exactly those bytes, so a torn
-// write or bit-rot is detected at load time instead of surfacing later
-// as a corrupt snapshot mid-reload.
-type diskEnvelope struct {
-	Checksum string          `json:"checksum"` // "sha256:" + hex of Model
-	Model    json.RawMessage `json:"model"`
-}
+// The meta JSON carries version/team/trained_at and the payload checksum.
+// Loading a file never parses the multi-megabyte snapshot through
+// encoding/json, which is the point: the snapshot bytes land in memory
+// as-is and core.Restore's zero-re-derivation path takes over. Damaged
+// files are quarantined, not fatal, and so is a legacy model-%06d.json
+// file from the removed JSON snapshot format.
 
 // packEnvelopeMagic heads a .pack store file (the disk envelope, not the
 // scoutpack payload itself, which carries its own "SCPK" magic+checksum).
 const packEnvelopeMagic = "SDP1"
+
+// legacyJSONReason is the quarantine reason for model-%06d.json files.
+const legacyJSONReason = "JSON snapshot format removed; retrain to publish a scoutpack"
 
 // packMeta is the JSON header of a .pack store file: the Model's
 // metadata fields, kept outside the binary payload so `ls` + `head` on a
@@ -51,7 +40,7 @@ const packEnvelopeMagic = "SDP1"
 type packMeta struct {
 	Version   int    `json:"version"`
 	Team      string `json:"team"`
-	TrainedAt string `json:"trained_at"` // RFC3339Nano, as time.Time JSON
+	TrainedAt string `json:"trained_at"` // RFC3339Nano
 	Checksum  string `json:"checksum"`   // "sha256:" + hex of payload
 }
 
@@ -61,15 +50,15 @@ func checksumOf(payload []byte) string {
 }
 
 // SaveStore persists every model version of a store to a directory, one
-// file per version. Scoutpack snapshots are written as model-%06d.pack
-// (binary envelope), everything else as model-%06d.json. The directory is
-// created if needed. Each file is written crash-safely: the bytes go to a
-// temp file in the same directory, the temp file is fsynced before the
-// atomic rename, and the directory itself is fsynced after, so a crash at
-// any instant leaves either the old file, the new file, or an ignorable
-// *.tmp — never a half-written model under the final name. The directory
-// sync is deferred so it also covers error returns: a save that fails on
-// version N must not leave versions 1..N-1 renamed but undurable.
+// model-%06d.pack file per version; a snapshot that is not a valid
+// scoutpack is an error. The directory is created if needed. Each file
+// is written crash-safely: the bytes go to a temp file in the same
+// directory, the temp file is fsynced before the atomic rename, and the
+// directory itself is fsynced after, so a crash at any instant leaves
+// either the old file, the new file, or an ignorable *.tmp — never a
+// half-written model under the final name. The directory sync is
+// deferred so it also covers error returns: a save that fails on version
+// N must not leave versions 1..N-1 renamed but undurable.
 func SaveStore(st *Store, dir string) (err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("serving: creating %s: %w", dir, err)
@@ -93,21 +82,10 @@ func SaveStore(st *Store, dir string) (err error) {
 			}
 			m = got
 		}
-		if core.IsScoutpack(m.Snapshot) {
-			if err := writePackFile(dir, m); err != nil {
-				return err
-			}
-			continue
+		if err := core.VerifyScoutpack(m.Snapshot); err != nil {
+			return fmt.Errorf("serving: saving v%d: %w", m.Version, err)
 		}
-		payload, err := json.Marshal(m)
-		if err != nil {
-			return fmt.Errorf("serving: encoding v%d: %w", m.Version, err)
-		}
-		data, err := json.Marshal(diskEnvelope{Checksum: checksumOf(payload), Model: payload})
-		if err != nil {
-			return fmt.Errorf("serving: enveloping v%d: %w", m.Version, err)
-		}
-		if err := writeFileSync(filepath.Join(dir, fmt.Sprintf("model-%06d.json", m.Version)), data); err != nil {
+		if err := writeFileSync(filepath.Join(dir, fmt.Sprintf("model-%06d.pack", m.Version)), encodePackFile(m)); err != nil {
 			return err
 		}
 	}
@@ -115,7 +93,7 @@ func SaveStore(st *Store, dir string) (err error) {
 }
 
 // timeLayout serializes TrainedAt in the pack envelope exactly as
-// encoding/json serializes time.Time, so the two formats agree.
+// encoding/json serializes time.Time (RFC3339Nano).
 const timeLayout = "2006-01-02T15:04:05.999999999Z07:00"
 
 // writeFileSync writes data to path through a same-directory temp file,
@@ -202,14 +180,14 @@ func LoadStore(dir string) (*Store, *LoadReport, error) {
 }
 
 // LoadStoreOptions reads a directory written by SaveStore back into a
-// Store. Both file formats load; when a version exists as both .json and
-// .pack, the pack is used. The newest EagerVersions versions are read and
-// verified now; older files are registered by path and verified on first
-// Get, which quarantines them exactly as an eager load would. Files that
-// fail to read, decode, or checksum are quarantined — renamed to
-// *.quarantined and listed in the report — and the remaining versions
-// load; gaps in the version sequence are tolerated for the same reason.
-// The error is non-nil only when the directory itself cannot be read.
+// Store. The newest EagerVersions versions are read and verified now;
+// older files are registered by path and verified on first Get, which
+// quarantines them exactly as an eager load would. Files that fail to
+// read, decode, or checksum are quarantined — renamed to *.quarantined
+// and listed in the report — and the remaining versions load; gaps in
+// the version sequence are tolerated for the same reason. Legacy
+// model-%06d.json files are quarantined too, with legacyJSONReason. The
+// error is non-nil only when the directory itself cannot be read.
 func LoadStoreOptions(dir string, opt LoadOptions) (*Store, *LoadReport, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -223,35 +201,19 @@ func LoadStoreOptions(dir string, opt LoadOptions) (*Store, *LoadReport, error) 
 		v    int
 		name string
 	}
-	// Collect candidates per version; .pack shadows .json.
-	best := map[int]string{}
+	st := NewStore()
+	rep := &LoadReport{}
+	var files []vf
 	for _, e := range entries {
 		name := e.Name()
-		var num string
-		switch {
-		case strings.HasPrefix(name, "model-") && strings.HasSuffix(name, ".pack"):
-			num = strings.TrimSuffix(strings.TrimPrefix(name, "model-"), ".pack")
-		case strings.HasPrefix(name, "model-") && strings.HasSuffix(name, ".json"):
-			num = strings.TrimSuffix(strings.TrimPrefix(name, "model-"), ".json")
-		default:
-			continue
+		if _, ok := modelFileVersion(name, ".json"); ok {
+			rep.Quarantined = append(rep.Quarantined, quarantineFile(filepath.Join(dir, name), legacyJSONReason))
+		} else if v, ok := modelFileVersion(name, ".pack"); ok {
+			files = append(files, vf{v, name})
 		}
-		v, err := strconv.Atoi(num)
-		if err != nil {
-			continue
-		}
-		if prev, ok := best[v]; !ok || (strings.HasSuffix(prev, ".json") && strings.HasSuffix(name, ".pack")) {
-			best[v] = name
-		}
-	}
-	var files []vf
-	for v, name := range best {
-		files = append(files, vf{v, name})
 	}
 	slices.SortFunc(files, func(a, b vf) int { return a.v - b.v })
 
-	st := NewStore()
-	rep := &LoadReport{}
 	for i, f := range files {
 		path := filepath.Join(dir, f.name)
 		if eager >= 0 && len(files)-i > eager {
@@ -271,6 +233,19 @@ func LoadStoreOptions(dir string, opt LoadOptions) (*Store, *LoadReport, error) 
 	return st, rep, nil
 }
 
+// modelFileVersion parses the version out of a "model-%06d<ext>" name.
+func modelFileVersion(name, ext string) (int, bool) {
+	num, ok := strings.CutPrefix(name, "model-")
+	if !ok {
+		return 0, false
+	}
+	if num, ok = strings.CutSuffix(num, ext); !ok {
+		return 0, false
+	}
+	v, err := strconv.Atoi(num)
+	return v, err == nil
+}
+
 // quarantineFile renames a damaged model file to <name>.quarantined and
 // returns the report entry.
 func quarantineFile(path, reason string) QuarantinedFile {
@@ -279,144 +254,54 @@ func quarantineFile(path, reason string) QuarantinedFile {
 	return q
 }
 
-// RepackStore converts every JSON-snapshot version in a store directory
-// to the scoutpack format, writing model-%06d.pack next to each
-// model-%06d.json (which is left in place as a fallback for older
-// readers — LoadStore prefers the pack). Versions already packed are
-// skipped. It returns the versions converted. Damaged files are left
-// alone for LoadStore's quarantine to handle.
-func RepackStore(dir string) (converted []int, err error) {
-	st, _, err := LoadStoreOptions(dir, LoadOptions{EagerVersions: -1})
-	if err != nil {
-		return nil, err
-	}
-	st.mu.Lock()
-	models := append([]Model(nil), st.models...)
-	st.mu.Unlock()
-	// Deferred so an error return after some versions were already packed
-	// still fsyncs the directory — those renames are committed and must be
-	// durable.
-	defer func() {
-		if len(converted) == 0 {
-			return
-		}
-		if serr := syncDir(dir); err == nil {
-			err = serr
-		}
-	}()
-	for _, m := range models {
-		if core.IsScoutpack(m.Snapshot) {
-			continue
-		}
-		// The stored Model wraps a JSON Scout snapshot; convert the inner
-		// snapshot, keep the version/team/time metadata.
-		packed, err := core.PackSnapshot(m.Snapshot)
-		if err != nil {
-			return converted, fmt.Errorf("serving: packing v%d: %w", m.Version, err)
-		}
-		m.Snapshot = packed
-		if err := writePackFile(dir, m); err != nil {
-			return converted, err
-		}
-		converted = append(converted, m.Version)
-	}
-	return converted, nil
-}
-
-// writePackFile writes one scoutpack model as model-%06d.pack, crash-safe.
-func writePackFile(dir string, m Model) error {
-	meta, err := json.Marshal(packMeta{
+// encodePackFile renders one scoutpack model in the .pack envelope.
+func encodePackFile(m Model) []byte {
+	// Marshaling a struct of strings and an int cannot fail.
+	meta, _ := json.Marshal(packMeta{
 		Version:   m.Version,
 		Team:      m.Team,
 		TrainedAt: m.TrainedAt.Format(timeLayout),
 		Checksum:  checksumOf(m.Snapshot),
 	})
-	if err != nil {
-		return fmt.Errorf("serving: enveloping v%d: %w", m.Version, err)
-	}
 	data := append([]byte(nil), packEnvelopeMagic...)
 	data = binary.LittleEndian.AppendUint32(data, uint32(len(meta)))
 	data = append(data, meta...)
-	data = append(data, m.Snapshot...)
-	return writeFileSync(filepath.Join(dir, fmt.Sprintf("model-%06d.pack", m.Version)), data)
+	return append(data, m.Snapshot...)
 }
 
-// ReadModelFile reads and fully verifies one model file of either disk
-// format, without going through a Store — `scoutctl inspect` uses it on
-// files directly.
+// ReadModelFile reads and fully verifies one .pack model file without
+// going through a Store — `scoutctl inspect` uses it on files directly.
+// A file not named model-%06d.pack is trusted to carry its own version.
 func ReadModelFile(path string) (Model, error) {
-	base := filepath.Base(path)
-	num := strings.TrimSuffix(strings.TrimSuffix(strings.TrimPrefix(base, "model-"), ".pack"), ".json")
-	want, err := strconv.Atoi(num)
-	if err != nil {
-		// Not a store-named file: trust the embedded version.
+	want, ok := modelFileVersion(filepath.Base(path), ".pack")
+	if !ok {
 		want = -1
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Model{}, fmt.Errorf("serving: %w", err)
 	}
-	var m Model
-	var reason string
-	if strings.HasSuffix(path, ".pack") {
-		if want < 0 {
-			if len(data) >= 8 && string(data[:4]) == packEnvelopeMagic {
-				var meta packMeta
-				if n := int(binary.LittleEndian.Uint32(data[4:])); n >= 0 && n <= len(data)-8 {
-					if json.Unmarshal(data[8:8+n], &meta) == nil {
-						want = meta.Version
-					}
-				}
-			}
-		}
-		m, reason = decodePackFile(data, want)
-	} else {
-		if want < 0 {
-			var env diskEnvelope
-			var inner Model
-			if json.Unmarshal(data, &env) == nil && json.Unmarshal(env.Model, &inner) == nil {
-				want = inner.Version
-			}
-		}
-		m, reason = decodeJSONFile(data, want)
-	}
+	m, reason := decodePackFile(data, want)
 	if reason != "" {
-		return Model{}, fmt.Errorf("serving: %s: %s", base, reason)
+		return Model{}, fmt.Errorf("serving: %s: %s", filepath.Base(path), reason)
 	}
 	return m, nil
 }
 
-// loadModelFile reads and fully verifies one model file of either
-// format. It returns the model, or a non-empty quarantine reason.
+// loadModelFile reads and fully verifies one .pack model file. It
+// returns the model, or a non-empty quarantine reason.
 func loadModelFile(path string, wantVersion int) (Model, string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Model{}, "read: " + err.Error()
 	}
-	if strings.HasSuffix(path, ".pack") {
-		return decodePackFile(data, wantVersion)
-	}
-	return decodeJSONFile(data, wantVersion)
+	return decodePackFile(data, wantVersion)
 }
 
-func decodeJSONFile(data []byte, wantVersion int) (Model, string) {
-	var env diskEnvelope
-	if err := json.Unmarshal(data, &env); err != nil || len(env.Model) == 0 {
-		return Model{}, "malformed envelope"
-	}
-	if got := checksumOf(env.Model); got != env.Checksum {
-		return Model{}, fmt.Sprintf("checksum mismatch: file says %s, content is %s", env.Checksum, got)
-	}
-	var m Model
-	if err := json.Unmarshal(env.Model, &m); err != nil {
-		return Model{}, "decoding model: " + err.Error()
-	}
-	if m.Version != wantVersion {
-		return Model{}, fmt.Sprintf("file claims v%d but contains v%d", wantVersion, m.Version)
-	}
-	return m, ""
-}
-
+// decodePackFile decodes and verifies a .pack envelope: its meta, the
+// payload checksum, the version (unless wantVersion is negative) and the
+// payload's own scoutpack envelope. It returns the model, or a non-empty
+// quarantine reason.
 func decodePackFile(data []byte, wantVersion int) (Model, string) {
 	if len(data) < 8 || string(data[:4]) != packEnvelopeMagic {
 		return Model{}, "malformed pack envelope"
@@ -433,7 +318,7 @@ func decodePackFile(data []byte, wantVersion int) (Model, string) {
 	if got := checksumOf(payload); got != meta.Checksum {
 		return Model{}, fmt.Sprintf("checksum mismatch: file says %s, content is %s", meta.Checksum, got)
 	}
-	if meta.Version != wantVersion {
+	if wantVersion >= 0 && meta.Version != wantVersion {
 		return Model{}, fmt.Sprintf("file claims v%d but contains v%d", wantVersion, meta.Version)
 	}
 	// The payload must be a structurally-sound scoutpack: its own

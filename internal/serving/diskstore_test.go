@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,10 +9,11 @@ import (
 )
 
 func TestSaveLoadStoreRoundTrip(t *testing.T) {
+	pack := packFixture(t)
 	dir := t.TempDir()
 	st := NewStore()
-	st.Put("PhyNet", []byte(`{"a":1}`))
-	st.Put("PhyNet", []byte(`{"a":2}`))
+	st.Put("PhyNet", pack)
+	st.Put("PhyNet", pack)
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +25,7 @@ func TestSaveLoadStoreRoundTrip(t *testing.T) {
 		t.Fatalf("versions = %d, report = %+v", loaded.Versions(), rep)
 	}
 	m, ok := loaded.Get(2)
-	if !ok || string(m.Snapshot) != `{"a":2}` || m.Team != "PhyNet" {
+	if !ok || m.Version != 2 || !bytes.Equal(m.Snapshot, pack) || m.Team != "PhyNet" {
 		t.Fatalf("v2 = %+v", m)
 	}
 }
@@ -31,7 +33,7 @@ func TestSaveLoadStoreRoundTrip(t *testing.T) {
 func TestLoadStoreIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore()
-	st.Put("X", []byte("s"))
+	st.Put("X", packFixture(t))
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestLoadStoreIgnoresForeignFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A leftover temp file from a crashed save must also be ignored.
-	if err := os.WriteFile(filepath.Join(dir, "model-000002.json.tmp"), []byte("half"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "model-000002.pack.tmp"), []byte("half"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	loaded, rep, err := LoadStore(dir)
@@ -52,15 +54,16 @@ func TestLoadStoreIgnoresForeignFiles(t *testing.T) {
 }
 
 func TestLoadStoreToleratesGaps(t *testing.T) {
+	pack := packFixture(t)
 	dir := t.TempDir()
 	st := NewStore()
-	st.Put("X", []byte("a"))
-	st.Put("X", []byte("b"))
-	st.Put("X", []byte("c"))
+	for i := 0; i < 3; i++ {
+		st.Put("X", pack)
+	}
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "model-000002.json")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "model-000002.pack")); err != nil {
 		t.Fatal(err)
 	}
 	loaded, rep, err := LoadStore(dir)
@@ -73,7 +76,7 @@ func TestLoadStoreToleratesGaps(t *testing.T) {
 	if _, ok := loaded.Get(2); ok {
 		t.Fatal("the deleted version must not resurrect")
 	}
-	if m, ok := loaded.Get(3); !ok || string(m.Snapshot) != "c" {
+	if m, ok := loaded.Get(3); !ok || m.Version != 3 || !bytes.Equal(m.Snapshot, pack) {
 		t.Fatalf("v3 = %+v, %v", m, ok)
 	}
 	if m, ok := loaded.Latest(); !ok || m.Version != 3 {
@@ -88,27 +91,25 @@ func TestLoadStoreToleratesGaps(t *testing.T) {
 func TestLoadStoreQuarantinesCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore()
-	st.Put("X", []byte("good-1"))
-	st.Put("X", []byte("good-2"))
-	st.Put("X", []byte("good-3"))
+	for i := 0; i < 3; i++ {
+		st.Put("X", packFixture(t))
+	}
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
 	}
 	// v2: tamper with the model payload, keeping the stale checksum.
-	path2 := filepath.Join(dir, "model-000002.json")
+	path2 := filepath.Join(dir, "model-000002.pack")
 	data, err := os.ReadFile(path2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered := strings.Replace(string(data), `"team":"X"`, `"team":"Y"`, 1)
-	if tampered == string(data) {
-		t.Fatal("tamper target not found in envelope")
-	}
-	if err := os.WriteFile(path2, []byte(tampered), 0o644); err != nil {
+	tampered := bytes.Clone(data)
+	tampered[len(tampered)-1] ^= 0x01
+	if err := os.WriteFile(path2, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// v3: truncate mid-file (malformed envelope — the torn-write case).
-	path3 := filepath.Join(dir, "model-000003.json")
+	// v3: truncate mid-file (the torn-write case).
+	path3 := filepath.Join(dir, "model-000003.pack")
 	if err := os.WriteFile(path3, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +145,12 @@ func TestLoadStoreQuarantinesCorruptFiles(t *testing.T) {
 func TestLoadStoreQuarantinesVersionMismatch(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore()
-	st.Put("X", []byte("a"))
+	st.Put("X", packFixture(t))
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
 	}
-	// Rename v1's file to claim v7: the payload still says version 1.
-	if err := os.Rename(filepath.Join(dir, "model-000001.json"), filepath.Join(dir, "model-000007.json")); err != nil {
+	// Rename v1's file to claim v7: the envelope still says version 1.
+	if err := os.Rename(filepath.Join(dir, "model-000001.pack"), filepath.Join(dir, "model-000007.pack")); err != nil {
 		t.Fatal(err)
 	}
 	loaded, rep, err := LoadStore(dir)
@@ -191,9 +192,10 @@ func TestSaveStoreEmptyOK(t *testing.T) {
 // directory sync runs on the error path too, so those renames are not
 // abandoned undurable.
 func TestSaveStorePartialFailureStillDurable(t *testing.T) {
+	pack := packFixture(t)
 	dir := t.TempDir()
 	st := NewStore()
-	st.Put("PhyNet", []byte(`{"a":1}`))
+	st.Put("PhyNet", pack)
 	// Append an unmaterializable model: Snapshot nil and a backing path
 	// that does not exist, so SaveStore's materialization via Get fails
 	// after v1 has already been written and renamed.
@@ -201,21 +203,21 @@ func TestSaveStorePartialFailureStillDurable(t *testing.T) {
 	st.models = append(st.models, Model{
 		Version: 2,
 		Team:    "PhyNet",
-		path:    filepath.Join(dir, "never-existed.json"),
+		path:    filepath.Join(dir, "never-existed.pack"),
 	})
 	st.mu.Unlock()
 
 	if err := SaveStore(st, dir); err == nil {
 		t.Fatal("SaveStore should fail on the unmaterializable model")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "model-000001.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "model-000001.pack")); err != nil {
 		t.Fatalf("v1 should be committed despite the later failure: %v", err)
 	}
 	loaded, _, err := LoadStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := loaded.Get(1); !ok || string(m.Snapshot) != `{"a":1}` {
+	if m, ok := loaded.Get(1); !ok || !bytes.Equal(m.Snapshot, pack) {
 		t.Fatalf("v1 not loadable after partial save: %+v", m)
 	}
 }

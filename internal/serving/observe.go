@@ -67,8 +67,6 @@ type serverMetrics struct {
 	// integral and load latency needs sub-second resolution.
 	loadSeconds atomic.Uint64
 	modelBytes  *telemetry.Gauge
-	// modelFormat is 0 while a JSON snapshot is served, 1 for a scoutpack.
-	modelFormat *telemetry.Gauge
 
 	predByModel map[string]*telemetry.Counter
 	predOther   *telemetry.Counter
@@ -95,8 +93,6 @@ func newServerMetrics() *serverMetrics {
 			"Version of the currently served model (0 before the first load)."),
 		modelBytes: reg.Gauge("scout_model_bytes",
 			"Size in bytes of the snapshot behind the served model."),
-		modelFormat: reg.Gauge("scout_model_snapshot_format",
-			"Format of the served snapshot: 0 JSON, 1 scoutpack (binary)."),
 		predByModel: map[string]*telemetry.Counter{},
 		fallbacks: reg.Counter("scout_prediction_fallbacks_total",
 			"Predictions answered VerdictFallback (legacy routing takes over)."),
@@ -131,17 +127,12 @@ func newServerMetrics() *serverMetrics {
 	return m
 }
 
-// setLoadStats records one model load's observability triple: how long
+// setLoadStats records one model load's observability pair: how long
 // the restore took (by the server's injected clock, so tests see exact
-// values), how many bytes the snapshot was, and which format it was in.
-func (m *serverMetrics) setLoadStats(d time.Duration, bytes int, packed bool) {
+// values) and how many bytes the snapshot was.
+func (m *serverMetrics) setLoadStats(d time.Duration, bytes int) {
 	m.loadSeconds.Store(math.Float64bits(d.Seconds()))
 	m.modelBytes.Set(int64(bytes))
-	format := int64(0)
-	if packed {
-		format = 1
-	}
-	m.modelFormat.Set(format)
 }
 
 func (m *serverMetrics) endpoint(name string) *endpointMetrics {

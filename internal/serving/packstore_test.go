@@ -3,45 +3,57 @@ package serving
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"scouts/internal/core"
 )
 
-// packFixture trains a scout and returns it with its scoutpack bytes.
-func packFixture(t testing.TB) (*core.Scout, []byte) {
+// The disk-store and chaos tests share one clean-trained scoutpack
+// (training is the expensive part and every test serves the same model).
+var (
+	oncePack sync.Once
+	packData []byte
+	packErr  error
+)
+
+// packFixture returns the shared scoutpack. Callers must not mutate it.
+func packFixture(t testing.TB) []byte {
 	t.Helper()
 	gen, log, cfg := testEnv(t)
-	scout, err := core.Train(core.TrainOptions{
-		Config:    cfg,
-		Topology:  gen.Topology(),
-		Source:    gen.Telemetry(),
-		Incidents: log.Incidents[:300],
-		Seed:      1,
+	oncePack.Do(func() {
+		scout, err := core.Train(core.TrainOptions{
+			Config:    cfg,
+			Topology:  gen.Topology(),
+			Source:    gen.Telemetry(),
+			Incidents: log.Incidents[:300],
+			Seed:      1,
+		})
+		if err != nil {
+			packErr = err
+			return
+		}
+		packData, packErr = scout.Snapshot()
 	})
-	if err != nil {
-		t.Fatal(err)
+	if packErr != nil {
+		t.Fatal(packErr)
 	}
-	pack, err := scout.SnapshotPack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return scout, pack
+	return packData
 }
 
 // TestSaveLoadPackRoundTrip pins the .pack disk format end to end: a
 // scoutpack snapshot saves as model-%06d.pack, survives the load with its
 // bytes intact, and the server serves predictions from it.
 func TestSaveLoadPackRoundTrip(t *testing.T) {
-	_, pack := packFixture(t)
+	pack := packFixture(t)
 	dir := t.TempDir()
 	st := NewStore()
 	st.Now = func() time.Time { return time.Unix(1700000000, 0) }
@@ -51,9 +63,6 @@ func TestSaveLoadPackRoundTrip(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "model-000001.pack")); err != nil {
 		t.Fatalf("pack snapshot did not save as .pack: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "model-000001.json")); err == nil {
-		t.Fatal("pack snapshot must not also save as .json")
 	}
 	loaded, rep, err := LoadStore(dir)
 	if err != nil {
@@ -88,21 +97,20 @@ func TestSaveLoadPackRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPackShadowsJSON pins the collision rule: when one version exists in
-// both formats, the pack is loaded and the JSON file is left alone as a
-// fallback for older readers.
-func TestPackShadowsJSON(t *testing.T) {
-	_, pack := packFixture(t)
+// TestLoadStoreQuarantinesLegacyJSON pins what happens to a store file
+// from the removed JSON snapshot format: it is quarantined with a reason
+// that says why, while the scoutpack versions beside it load.
+func TestLoadStoreQuarantinesLegacyJSON(t *testing.T) {
+	pack := packFixture(t)
 	dir := t.TempDir()
-
-	jsonStore := NewStore()
-	jsonStore.Put("JsonTeam", []byte(`{"a":1}`))
-	if err := SaveStore(jsonStore, dir); err != nil {
+	st := NewStore()
+	st.Put("PhyNet", pack)
+	st.Put("PhyNet", pack)
+	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
 	}
-	packStore := NewStore()
-	packStore.Put("PackTeam", pack)
-	if err := SaveStore(packStore, dir); err != nil {
+	legacy := filepath.Join(dir, "model-000001.json")
+	if err := os.WriteFile(legacy, []byte(`{"checksum":"sha256:00","model":{"version":1}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -110,23 +118,41 @@ func TestPackShadowsJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Versions() != 1 || len(rep.Quarantined) != 0 {
-		t.Fatalf("versions = %d, report = %+v", loaded.Versions(), rep)
+	if loaded.Versions() != 2 || len(rep.Loaded) != 2 {
+		t.Fatalf("versions = %d, report = %+v; the packs must still load", loaded.Versions(), rep)
 	}
-	m, ok := loaded.Get(1)
-	if !ok || m.Team != "PackTeam" || !core.IsScoutpack(m.Snapshot) {
-		t.Fatalf("pack did not shadow json: %+v", m.Team)
+	if len(rep.Quarantined) != 1 {
+		t.Fatalf("quarantined = %+v, want the legacy JSON file", rep.Quarantined)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "model-000001.json")); err != nil {
-		t.Fatalf("shadowed json file must survive: %v", err)
+	q := rep.Quarantined[0]
+	if q.Name != "model-000001.json" || q.Reason != legacyJSONReason || !q.Renamed {
+		t.Fatalf("legacy quarantine entry = %+v", q)
+	}
+	if _, err := os.Stat(legacy + ".quarantined"); err != nil {
+		t.Fatalf("legacy JSON file not set aside: %v", err)
 	}
 }
 
-// TestSaveStoreQuarantinedPack pins load-time verification of the inner
+// TestSaveStoreRejectsNonScoutpack pins that a store only ever writes
+// scoutpacks: a snapshot in any other format fails the save.
+func TestSaveStoreRejectsNonScoutpack(t *testing.T) {
+	dir := t.TempDir()
+	st := NewStore()
+	st.Put("PhyNet", []byte(`{"config":""}`))
+	err := SaveStore(st, dir)
+	if !errors.Is(err, core.ErrNotScoutpack) {
+		t.Fatalf("SaveStore of a JSON snapshot: err = %v, want ErrNotScoutpack", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "model-000001.pack")); err == nil {
+		t.Fatal("a rejected snapshot must not reach the disk")
+	}
+}
+
+// TestPackPayloadVerifiedOnLoad pins load-time verification of the inner
 // scoutpack: a .pack file whose payload checksum matches but whose
 // scoutpack envelope is damaged quarantines instead of loading.
 func TestPackPayloadVerifiedOnLoad(t *testing.T) {
-	_, pack := packFixture(t)
+	pack := packFixture(t)
 	dir := t.TempDir()
 	st := NewStore()
 	st.Put("X", pack)
@@ -134,13 +160,12 @@ func TestPackPayloadVerifiedOnLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a payload byte AND refresh the envelope checksum, so only the
-	// scoutpack's own sha256 can catch it.
+	// scoutpack's own sha256 can catch it. SaveStore refuses to write a
+	// damaged scoutpack, so the envelope is written directly.
 	path := filepath.Join(dir, "model-000001.pack")
 	damaged := append([]byte(nil), pack...)
 	damaged[len(damaged)/2] ^= 0x01
-	st2 := NewStore()
-	st2.Put("X", damaged)
-	if err := SaveStore(st2, dir); err != nil {
+	if err := os.WriteFile(path, encodePackFile(Model{Version: 1, Team: "X", Snapshot: damaged}), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, rep, err := LoadStore(dir)
@@ -160,10 +185,11 @@ func TestPackPayloadVerifiedOnLoad(t *testing.T) {
 // registered by path, materialize on first Get, and quarantine on first
 // Get when their file is damaged.
 func TestLoadStoreLazyVersions(t *testing.T) {
+	pack := packFixture(t)
 	dir := t.TempDir()
 	st := NewStore()
 	for i := 1; i <= 5; i++ {
-		st.Put("X", []byte(strings.Repeat("s", i)))
+		st.Put("X", pack)
 	}
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
@@ -183,13 +209,13 @@ func TestLoadStoreLazyVersions(t *testing.T) {
 		t.Fatalf("versions = %d, want all 5 visible", loaded.Versions())
 	}
 	// Latest never touches the lazy files.
-	if m, ok := loaded.Latest(); !ok || m.Version != 5 || string(m.Snapshot) != "sssss" {
+	if m, ok := loaded.Latest(); !ok || m.Version != 5 || !bytes.Equal(m.Snapshot, pack) {
 		t.Fatalf("latest = %+v", m)
 	}
 
 	// Damage v1 on disk AFTER the load: an eager loader would have caught
 	// it already; the lazy path must catch it on first Get.
-	path1 := filepath.Join(dir, "model-000001.json")
+	path1 := filepath.Join(dir, "model-000001.pack")
 	data, err := os.ReadFile(path1)
 	if err != nil {
 		t.Fatal(err)
@@ -212,13 +238,13 @@ func TestLoadStoreLazyVersions(t *testing.T) {
 	}
 	// A healthy lazy version materializes on first Get and stays cached.
 	m, ok := loaded.Get(2)
-	if !ok || string(m.Snapshot) != "ss" || m.Team != "X" {
+	if !ok || m.Version != 2 || !bytes.Equal(m.Snapshot, pack) || m.Team != "X" {
 		t.Fatalf("lazy v2 = %+v, %v", m, ok)
 	}
-	if err := os.Remove(filepath.Join(dir, "model-000002.json")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "model-000002.pack")); err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := loaded.Get(2); !ok || string(m.Snapshot) != "ss" {
+	if m, ok := loaded.Get(2); !ok || !bytes.Equal(m.Snapshot, pack) {
 		t.Fatalf("materialized v2 must not re-read its file: %+v, %v", m, ok)
 	}
 	if drained := loaded.QuarantinedLazy(); len(drained) != 0 {
@@ -229,10 +255,11 @@ func TestLoadStoreLazyVersions(t *testing.T) {
 // TestLoadStoreEagerOverride pins the option: negative means everything
 // eager, explicit N means exactly N.
 func TestLoadStoreEagerOverride(t *testing.T) {
+	pack := packFixture(t)
 	dir := t.TempDir()
 	st := NewStore()
 	for i := 1; i <= 4; i++ {
-		st.Put("X", []byte("s"))
+		st.Put("X", pack)
 	}
 	if err := SaveStore(st, dir); err != nil {
 		t.Fatal(err)
@@ -253,18 +280,14 @@ func TestLoadStoreEagerOverride(t *testing.T) {
 	}
 }
 
-// TestReloadRecordsLoadStats pins the model-load observability triple
-// under an injected clock: duration, bytes and format land in /metrics
-// after a reload, and a scoutpack reload flips the format gauge.
+// TestReloadRecordsLoadStats pins the model-load observability pair
+// under an injected clock: duration and bytes land in /metrics after a
+// reload.
 func TestReloadRecordsLoadStats(t *testing.T) {
-	scout, pack := packFixture(t)
-	jsonSnap, err := scout.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pack := packFixture(t)
 	gen, _, _ := testEnv(t)
 	st := NewStore()
-	st.Put("PhyNet", jsonSnap)
+	st.Put("PhyNet", pack)
 	srv := NewServer(gen.Topology(), gen.Telemetry(), st, nil)
 	// Stepping clock: every reading advances 250ms, so one Reload (two
 	// readings) records exactly 0.25s.
@@ -276,32 +299,14 @@ func TestReloadRecordsLoadStats(t *testing.T) {
 	if err := srv.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	scrape := func() string {
-		rec := httptest.NewRecorder()
-		srv.Metrics().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-		return rec.Body.String()
-	}
-	body := scrape()
+	rec := httptest.NewRecorder()
+	srv.Metrics().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
 	if !strings.Contains(body, "scout_model_load_duration_seconds 0.25") {
 		t.Fatalf("load duration gauge missing or wrong:\n%s", grepMetric(body, "scout_model_load_duration_seconds"))
 	}
-	if !strings.Contains(body, "scout_model_bytes "+strconv.Itoa(len(jsonSnap))) {
-		t.Fatalf("model bytes gauge wrong:\n%s", grepMetric(body, "scout_model_bytes"))
-	}
-	if !strings.Contains(body, "scout_model_snapshot_format 0") {
-		t.Fatalf("format gauge should say JSON:\n%s", grepMetric(body, "scout_model_snapshot_format"))
-	}
-
-	st.Put("PhyNet", pack)
-	if err := srv.Reload(); err != nil {
-		t.Fatal(err)
-	}
-	body = scrape()
-	if !strings.Contains(body, "scout_model_snapshot_format 1") {
-		t.Fatalf("format gauge should say scoutpack:\n%s", grepMetric(body, "scout_model_snapshot_format"))
-	}
 	if !strings.Contains(body, "scout_model_bytes "+strconv.Itoa(len(pack))) {
-		t.Fatalf("model bytes gauge should track the pack:\n%s", grepMetric(body, "scout_model_bytes"))
+		t.Fatalf("model bytes gauge wrong:\n%s", grepMetric(body, "scout_model_bytes"))
 	}
 }
 
@@ -309,7 +314,7 @@ func TestReloadRecordsLoadStats(t *testing.T) {
 // version published to the store directory by another process is picked
 // up by the HTTP reload without restarting the server.
 func TestReloadStoreHook(t *testing.T) {
-	_, pack := packFixture(t)
+	pack := packFixture(t)
 	dir := t.TempDir()
 	seed := NewStore()
 	seed.Put("PhyNet", pack)
@@ -359,69 +364,11 @@ func TestReloadStoreHook(t *testing.T) {
 	}
 }
 
-// TestRepackStore pins the `scoutctl pack` path: a JSON-snapshot store
-// gains a byte-valid .pack per version, the originals stay in place, the
-// conversion is idempotent, and a fresh load prefers the packs.
-func TestRepackStore(t *testing.T) {
-	scout, _ := packFixture(t)
-	jsonSnap, err := scout.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	st := NewStore()
-	st.Put("PhyNet", jsonSnap)
-	st.Put("PhyNet", jsonSnap)
-	if err := SaveStore(st, dir); err != nil {
-		t.Fatal(err)
-	}
-
-	converted, err := RepackStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(converted) != 2 {
-		t.Fatalf("converted %v, want both versions", converted)
-	}
-	for _, v := range []int{1, 2} {
-		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("model-%06d.json", v))); err != nil {
-			t.Fatalf("v%d JSON original removed: %v", v, err)
-		}
-		m, err := ReadModelFile(filepath.Join(dir, fmt.Sprintf("model-%06d.pack", v)))
-		if err != nil {
-			t.Fatalf("v%d pack unreadable: %v", v, err)
-		}
-		if !core.IsScoutpack(m.Snapshot) {
-			t.Fatalf("v%d converted snapshot is not a scoutpack", v)
-		}
-	}
-
-	again, err := RepackStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 0 {
-		t.Fatalf("second repack converted %v, want nothing", again)
-	}
-
-	loaded, rep, err := LoadStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Quarantined) != 0 {
-		t.Fatalf("quarantined after repack: %+v", rep.Quarantined)
-	}
-	m, ok := loaded.Latest()
-	if !ok || !core.IsScoutpack(m.Snapshot) {
-		t.Fatal("load after repack must serve the pack variant")
-	}
-}
-
 // TestReadModelFileRejectsDamage pins that ReadModelFile is a full
 // verification pass, not a parse: a bit flip anywhere in a .pack file
 // fails it.
 func TestReadModelFileRejectsDamage(t *testing.T) {
-	_, pack := packFixture(t)
+	pack := packFixture(t)
 	dir := t.TempDir()
 	st := NewStore()
 	st.Put("PhyNet", pack)

@@ -27,10 +27,10 @@ import (
 
 // Model is one versioned, trained Scout.
 type Model struct {
-	Version   int       `json:"version"`
-	Team      string    `json:"team"`
-	TrainedAt time.Time `json:"trained_at"`
-	Snapshot  []byte    `json:"snapshot"`
+	Version   int
+	Team      string
+	TrainedAt time.Time
+	Snapshot  []byte // scoutpack bytes (core.Snapshot)
 
 	// path is set on store entries registered lazily by LoadStoreOptions:
 	// the on-disk file backing this version, read and verified on first
@@ -158,13 +158,10 @@ func (st *Store) Versions() int {
 }
 
 // Trainer is the offline component: it trains Scouts and publishes
-// snapshots to a store.
+// their scoutpack snapshots to a store.
 type Trainer struct {
 	Store *Store
-	// Pack publishes scoutpack (binary) snapshots instead of JSON ones.
-	// The store and server are format-agnostic — Restore sniffs the
-	// leading bytes — but packed snapshots load without re-deriving the
-	// forests' flat views, which is what a serving fleet wants.
+	// Deprecated: ignored; snapshots are always scoutpacks.
 	Pack bool
 }
 
@@ -175,12 +172,7 @@ func (tr *Trainer) TrainAndPublish(opt core.TrainOptions) (*core.Scout, int, err
 	if err != nil {
 		return nil, 0, err
 	}
-	var snap []byte
-	if tr.Pack {
-		snap, err = scout.SnapshotPack()
-	} else {
-		snap, err = scout.Snapshot()
-	}
+	snap, err := scout.Snapshot()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -302,9 +294,9 @@ type Server struct {
 	// ReloadStore, when set, is consulted at the start of every Reload:
 	// it re-reads the backing storage (scoutd points it at its -store
 	// directory) and returns a fresh Store, so POST /v1/reload picks up
-	// versions published by another process — e.g. a `scoutctl pack` run
-	// or an offline trainer writing into the same directory. Errors fail
-	// the reload; the previously-served model stays.
+	// versions published by another process — e.g. an offline trainer
+	// writing into the same directory. Errors fail the reload; the
+	// previously-served model stays.
 	ReloadStore func() (*Store, error)
 
 	// Access, when set, receives one structured JSON line per request
@@ -366,8 +358,7 @@ func (logDiscard) Write(p []byte) (int, error) { return len(p), nil }
 // Reload loads the newest snapshot from the store (after refreshing the
 // store itself through ReloadStore, when set). The restore is timed with
 // the server's clock and exported as scout_model_load_duration_seconds,
-// alongside the snapshot's size and format — the observable difference
-// between a JSON restore and a scoutpack's zero-re-derivation load.
+// alongside the snapshot's size.
 func (s *Server) Reload() error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -391,7 +382,7 @@ func (s *Server) Reload() error {
 	if err != nil {
 		return fmt.Errorf("serving: restoring v%d: %w", m.Version, err)
 	}
-	s.tel.setLoadStats(clock().Sub(start), len(m.Snapshot), core.IsScoutpack(m.Snapshot))
+	s.tel.setLoadStats(clock().Sub(start), len(m.Snapshot))
 	s.install(scout, m.Version)
 	s.logger.Printf("serving: loaded %s scout v%d", m.Team, m.Version)
 	return nil
